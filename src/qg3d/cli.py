@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,9 +44,6 @@ class RunConfig:
     de_level: int = 9
     direct_level: int = 3
     n_modes: int = 4
-    eig_tol: float = 1e-10
-    newton_tol: float = 1e-8
-    quad_tol: float = 1e-10
     guard: float = 1e-3
     modes: list = field(default_factory=lambda: [2, 3, 4, 5, 6])
     omega_grid: list = field(default_factory=list)
@@ -56,20 +52,14 @@ class RunConfig:
     steps: int = 10
     axis_z: list = field(default_factory=lambda: [-0.5, 0.0, 0.3])
     outdir: str = "out"
-    format: str = "csv"
-    threads: int = 1
 
     def check(self):
         if self.phi_nodes < 8:
             raise DomainError("config: phi_nodes must be >= 8")
         if self.theta_nodes < 2:
             raise DomainError("config: theta_nodes must be >= 2")
-        for name in ("eig_tol", "newton_tol", "quad_tol", "guard"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1e-2:
-                raise DomainError(f"config: {name} must lie in (0, 1e-2), got {v}")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"config: format must be csv or json, got {self.format}")
+        if not 0.0 < self.guard < 1e-2:
+            raise DomainError(f"config: guard must lie in (0, 1e-2), got {self.guard}")
         if self.steps < 1:
             raise DomainError("config: steps must be >= 1")
 
@@ -136,11 +126,7 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
 
 def cmd_dispersion(cfg: RunConfig, profile, outdir: Path) -> int:
     ctx = _context(cfg, profile)
-    guard_hi = ctx.kappa * (1.0 - cfg.guard)
-    for om in cfg.omega_grid:
-        if not om < guard_hi:
-            raise DomainError(f"dispersion: omega={om} not below kappa - guard = {guard_hi}")
-    curve = spectral.dispersion_scan(ctx, cfg.modes, cfg.omega_grid, threads=cfg.threads)
+    curve = spectral.dispersion_scan(ctx, cfg.modes, cfg.omega_grid)
     _write_csv(outdir / "dispersion.csv", ["n", "omega", "lambda", "iterations", "residual"], curve.rows)
     _write_csv(
         outdir / "dispersion_anomalies.csv",
@@ -155,13 +141,13 @@ def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
     rows = []
     for m in cfg.modes:
         bp = spectral.find_bifurcation_point(ctx, m)
-        rows.append((m, bp.omega_m, bp.lam, bp.bracket))
+        rows.append((m, bp.omega_m, bp.lam))
         _write_csv(
             outdir / f"eigenfun_m{m}.csv",
             ["phi", "h"],
             list(zip(ctx.nodes, bp.eigfun)),
         )
-    _write_csv(outdir / "bifpoints.csv", ["m", "omega_m", "lambda", "bracket"], rows)
+    _write_csv(outdir / "bifpoints.csv", ["m", "omega_m", "lambda"], rows)
     return EXIT_OK
 
 
@@ -223,7 +209,7 @@ def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
         "omega_m": branch.omega_ref,
         "s_max": cfg.s_max,
         "steps": cfg.steps,
-        "newton_tol": cfg.newton_tol,
+        "newton_tol": nonlinear.NEWTON_TOL,
         "failed_at": branch.failed_at,
         "message": branch.message,
         "points": points_meta,
@@ -268,13 +254,8 @@ def _parse_args(argv):
     ap.add_argument("--omega", type=float)
     ap.add_argument("--s-max", type=float, dest="s_max")
     ap.add_argument("--steps", type=int)
-    ap.add_argument("--eig-tol", type=float, dest="eig_tol")
-    ap.add_argument("--newton-tol", type=float, dest="newton_tol")
-    ap.add_argument("--quad-tol", type=float, dest="quad_tol")
     ap.add_argument("--guard", type=float)
     ap.add_argument("--outdir")
-    ap.add_argument("--format", choices=["csv", "json"])
-    ap.add_argument("--threads", type=int)
     return ap.parse_args(argv)
 
 
@@ -291,8 +272,7 @@ def _build_config(args) -> RunConfig:
             setattr(cfg, key, val)
     for key in (
         "profile", "phi_nodes", "theta_nodes", "de_level", "direct_level", "n_modes",
-        "omega", "s_max", "steps", "eig_tol", "newton_tol", "quad_tol", "guard",
-        "outdir", "format", "threads",
+        "omega", "s_max", "steps", "guard", "outdir",
     ):
         val = getattr(args, key, None)
         if val is not None:
@@ -301,8 +281,6 @@ def _build_config(args) -> RunConfig:
         cfg.modes = [int(s) for s in args.modes.split(",") if s.strip()]
     if args.omega_grid is not None:
         cfg.omega_grid = [float(s) for s in args.omega_grid.split(",") if s.strip()]
-    if args.threads is None and "QG3D_THREADS" in os.environ:
-        cfg.threads = int(os.environ["QG3D_THREADS"])
     cfg.check()
     return cfg
 

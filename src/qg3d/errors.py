@@ -19,4 +19,4 @@ class GeometryError(QG3DError, ValueError):
 
 
 class SolverError(QG3DError, RuntimeError):
-    """An iterative solver (bisection, power iteration, Newton) failed."""
+    """A solver (eigensolve, power iteration, Newton) failed."""

@@ -1,17 +1,18 @@
 """Dispersion relation, bifurcation points and spectral verifications.
 
 The dispersion relation is the map Omega -> lambda_n(Omega), the largest
-eigenvalue of the symmetrized Nystrom matrix of K_n^Omega.  It is
-strictly positive, simple (positive kernel), strictly decreasing in n
-and strictly increasing in Omega; the mode-m bifurcation point Omega_m
-is the unique root of lambda_m(Omega) = 1, found by bisection on a
-bracket grown geometrically to the left (lambda -> 0 as Omega -> -inf)
-and capped at kappa - guard on the right (lambda -> inf at kappa).
+eigenvalue of the symmetrized Nystrom matrix of K_n^Omega, found by power
+iteration.  It is strictly positive, simple (positive kernel), strictly
+decreasing in n and strictly increasing in Omega, so the mode-m
+bifurcation point Omega_m is the unique root of lambda_m(Omega) = 1.
+On the product-integration matrix B_m that root is an eigenvalue:
+B h = (nu0 - Omega) h says lambda = 1 with eigenfunction h, so Omega_m is
+the leftmost eigenvalue of diag(nu0) - B_m, taken from one dense
+eigensolve together with its eigenfunction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,6 @@ __all__ = [
 
 POWER_TOL = 1e-10
 POWER_MAXIT = 10_000
-BISECT_TOL = 1e-10
-BISECT_MAXIT = 80
-OMEGA_FLOOR = -1e4
 KERNEL_DIM_MARGIN = 1e-4
 
 
@@ -64,7 +62,6 @@ class BifurcationPoint:
     m: int
     omega_m: float
     eigfun: np.ndarray
-    bracket: float
     lam: float
 
 
@@ -150,7 +147,7 @@ def eigen_bounds(ctx: KernelContext, K: KernelMatrix, rho: np.ndarray) -> tuple[
     return lower, upper
 
 
-def dispersion_scan(ctx: KernelContext, n_list, omega_grid, threads: int | None = None) -> DispersionCurve:
+def dispersion_scan(ctx: KernelContext, n_list, omega_grid) -> DispersionCurve:
     """lambda_n(Omega) over a mode list and an Omega grid, with
     monotonicity anomalies (decreasing in n, increasing in Omega) flagged."""
     n_list = list(n_list)
@@ -159,20 +156,7 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid, threads: int | None 
     for om in omega_grid:
         if not om < guard_hi:
             raise DomainError(f"dispersion_scan: omega={om} not below kappa - guard={guard_hi}")
-
-    def solve(pair):
-        n, om = pair
-        return largest_eigenvalue(assemble_kernel_matrix(ctx, n, om))
-
-    pairs = [(n, om) for n in n_list for om in omega_grid]
-    if threads and threads > 1:
-        # warm the per-mode kernel tables serially (shared cache), then fan out
-        for n in n_list:
-            ctx.mode_tables(n)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(solve, pairs))
-    else:
-        results = [solve(p) for p in pairs]
+    results = [largest_eigenvalue(assemble_kernel_matrix(ctx, n, om)) for n in n_list for om in omega_grid]
     rows = [(r.n, r.omega, r.lam, r.iterations, r.residual) for r in results]
     lam = {(r.n, r.omega): r.lam for r in results}
     anomalies = []
@@ -187,81 +171,52 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid, threads: int | None 
     return DispersionCurve(rows, anomalies)
 
 
-def _lambda_at(ctx: KernelContext, n: int, omega: float) -> tuple[float, SpectralResult]:
-    res = largest_eigenvalue(assemble_kernel_matrix(ctx, n, omega))
-    return res.lam, res
+def _mu_normalized(v: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
+    """v scaled to unit norm in the discrete mu inner product, sign-fixed
+    so that its mu-mean is positive."""
+    v = v / np.sqrt(np.sum(v * v * mu_w))
+    return -v if float(np.sum(v * mu_w)) < 0.0 else v
 
 
-def refine_eigenvalue(
-    ctx: KernelContext, K: KernelMatrix, res: SpectralResult, steps: int = 10
-) -> tuple[float, np.ndarray]:
-    """Polish a dominant eigenpair on the product-integration operator.
+def refine_eigenvalue(ctx: KernelContext, K: KernelMatrix, res: SpectralResult) -> tuple[float, np.ndarray]:
+    """Re-solve a dominant eigenpair on the product-integration operator.
 
     The symmetrized Nystrom matrix carries an O(N^-3) eigenvalue bias
-    from the plain off-diagonal weights; a few power steps of
-    diag(1/nu) B (B the tanh-sinh row-integral matrix) followed by a
-    Rayleigh quotient in the mu inner product remove it to quadrature
-    accuracy.  Returns (eigenvalue, mu-normalized positive eigenvector).
+    from the plain off-diagonal weights; the eigenpair of diag(1/nu) B
+    (B the tanh-sinh row-integral matrix) nearest to ``res.lam`` does not.
+    Returns (eigenvalue, mu-normalized positive eigenvector).
     """
-    B = ctx.mode_b_matrix(K.n)
-    nu = K.nu
-    mu_w = K.mu_w
-    v = res.eigvec.copy()
-    lam = res.lam
-    for _ in range(steps):
-        w = (B @ v) / nu
-        lam = float(np.sum(v * mu_w * w) / np.sum(v * mu_w * v))
-        v = w / np.sqrt(np.sum(w * w * mu_w))
-    if float(np.sum(v * mu_w)) < 0.0:
-        v = -v
-    return lam, v
+    vals, vecs = np.linalg.eig(ctx.mode_b_matrix(K.n) / K.nu[:, None])
+    j = int(np.argmin(np.abs(vals - res.lam)))
+    return float(vals[j].real), _mu_normalized(vecs[:, j].real, K.mu_w)
 
 
 def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
-    """Bisection for the unique Omega_m with lambda_m(Omega_m) = 1.
+    """Omega_m as the leftmost eigenvalue of diag(nu0) - B_m.
 
-    The right end sits at kappa - guard (lambda there must exceed 1,
-    otherwise the guard hides the root); the left end is pushed out
-    geometrically until lambda < 1, with a hard floor.
+    B_m h = (nu0 - Omega) h is lambda_m(Omega) = 1 on the
+    product-integration operator, so one dense eigensolve gives Omega_m
+    and its kernel eigenfunction (mu-normalized, positive); ``lam`` is
+    the Rayleigh quotient of diag(1/nu) B_m there.  An Omega_m at or
+    beyond kappa - guard means the guard hides the root.
     """
     if m < 2:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
-    k = ctx.kappa
-    hi = k * (1.0 - ctx.guard_frac) if k > 0 else k - abs(k) * ctx.guard_frac
-
-    def lam_at(omega: float):
-        K = assemble_kernel_matrix(ctx, m, omega)
-        res = largest_eigenvalue(K)
-        return refine_eigenvalue(ctx, K, res)
-
-    lam_hi, _ = lam_at(hi)
-    if lam_hi < 1.0:
+    B = ctx.mode_b_matrix(m)
+    vals, vecs = np.linalg.eig(np.diag(ctx.nu0) - B)
+    j = int(np.argmin(vals.real))
+    omega_m = float(vals[j].real)
+    hi = ctx.kappa * (1.0 - ctx.guard_frac)
+    if not omega_m < hi:
         raise SolverError(
-            f"find_bifurcation_point: lambda_{m}(kappa - guard) = {lam_hi} < 1; "
-            "refine the guard to bracket the root"
+            f"find_bifurcation_point: Omega_{m} = {omega_m} not below kappa - guard = {hi}; "
+            "refine the guard to expose the root"
         )
-    lo = hi - max(k, 1.0)
-    lam_lo, _ = lam_at(lo)
-    while lam_lo >= 1.0:
-        lo = hi - 2.0 * (hi - lo)
-        if lo < OMEGA_FLOOR:
-            raise DomainError(
-                f"find_bifurcation_point: no bracket above the Omega floor {OMEGA_FLOOR}"
-            )
-        lam_lo, _ = lam_at(lo)
-    best = None
-    for _ in range(BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        lam_mid, vec_mid = lam_at(mid)
-        best = (mid, lam_mid, vec_mid)
-        if abs(lam_mid - 1.0) <= BISECT_TOL:
-            break
-        if lam_mid < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    omega_m, lam_m, eigfun = best
-    return BifurcationPoint(m, omega_m, eigfun, hi - lo, lam_m)
+    nu = ctx.nu0 - omega_m
+    mu_w = ctx.mv * ctx.weights * nu
+    h = _mu_normalized(vecs[:, j].real, mu_w)
+    lam = float(np.sum(h * mu_w * (B @ h) / nu))
+    return BifurcationPoint(m, omega_m, h, lam)
 
 
 def eigenfunction_boundary_report(ctx: KernelContext, result: SpectralResult) -> BoundaryReport:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qg3d.cli import main
+from qg3d.nonlinear import NEWTON_TOL
 
 FAST = ["--phi-nodes", "24", "--de-level", "7"]
 
@@ -114,6 +115,7 @@ class TestBranch:
         assert code == 0
         payload = json.loads((out / "branch.json").read_text())
         assert payload["failed_at"] is None
+        assert payload["newton_tol"] == NEWTON_TOL
         assert len(payload["points"]) == 2
         for pt in payload["points"]:
             assert pt["residual"] <= 1e-8
@@ -131,9 +133,10 @@ class TestBranch:
         echo = json.loads((out / "branch_config.json").read_text())
         assert echo["phi_nodes"] == 24 and echo["s_max"] == 0.004
 
-    def test_unknown_config_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["no_such_key", "eig_tol", "quad_tol", "newton_tol", "format", "threads"])
+    def test_unknown_config_key(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"no_such_key": 1}))
+        cfg.write_text(json.dumps({key: 1}))
         assert main(["branch", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
 
 

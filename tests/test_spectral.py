@@ -5,7 +5,12 @@ import pytest
 
 import qg3d as q
 from oracles import jacobi_eigensolve
-from qg3d.errors import DomainError
+from qg3d.errors import DomainError, SolverError
+
+
+@pytest.fixture(scope="module")
+def ctx_spheroid_half():
+    return q.KernelContext(q.make_profile("spheroid", a=0.5), 48, 8, 3)
 
 
 class TestLargestEigenvalue:
@@ -130,6 +135,22 @@ class TestBifurcationPoints:
         with pytest.raises(DomainError):
             q.find_bifurcation_point(ctx_sphere, 1)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_discrete_eigen_equation(self, ctx_spheroid_half, m):
+        # (Omega_m, h*_m) must solve B_m h = (nu0 - Omega_m) h itself; a
+        # root of lambda_m = 1 with a loosely converged eigenvector reads
+        # lam - 1 ~ 1e-11 while this residual stays near 1e-5
+        bp = q.find_bifurcation_point(ctx_spheroid_half, m)
+        Bh = ctx_spheroid_half.mode_b_matrix(m) @ bp.eigfun
+        resid = Bh - (ctx_spheroid_half.nu0 - bp.omega_m) * bp.eigfun
+        assert np.linalg.norm(resid) / np.linalg.norm(Bh) <= 1e-10
+
+    def test_guard_hiding_root_is_solver_error(self, sphere):
+        # kappa - guard = 1/6 lies left of Omega_6 = 1/3 - 1/13, hiding the root
+        ctx = q.KernelContext(sphere, 16, 4, 3, guard_frac=0.5)
+        with pytest.raises(SolverError):
+            q.find_bifurcation_point(ctx, 6)
+
 
 class TestBoundaryReport:
     def test_dichotomy(self, sphere):
@@ -181,7 +202,7 @@ class TestTransversality:
     def test_sign_flip_invariant(self, ctx_sphere, bp2_sphere):
         from qg3d.spectral import BifurcationPoint
 
-        flipped = BifurcationPoint(bp2_sphere.m, bp2_sphere.omega_m, -bp2_sphere.eigfun, bp2_sphere.bracket, bp2_sphere.lam)
+        flipped = BifurcationPoint(bp2_sphere.m, bp2_sphere.omega_m, -bp2_sphere.eigfun, bp2_sphere.lam)
         assert q.transversality_check(ctx_sphere, flipped) == pytest.approx(
             q.transversality_check(ctx_sphere, bp2_sphere), rel=1e-14
         )
@@ -189,7 +210,7 @@ class TestTransversality:
     def test_zero_rejected(self, ctx_sphere, bp2_sphere):
         from qg3d.spectral import BifurcationPoint
 
-        zero = BifurcationPoint(2, bp2_sphere.omega_m, np.zeros_like(bp2_sphere.eigfun), 0.0, 1.0)
+        zero = BifurcationPoint(2, bp2_sphere.omega_m, np.zeros_like(bp2_sphere.eigfun), 1.0)
         with pytest.raises(DomainError):
             q.transversality_check(ctx_sphere, zero)
 
