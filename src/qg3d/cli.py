@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,12 +46,12 @@ class RunConfig:
     direct_level: int = 3
     n_modes: int = 4
     guard: float = 1e-3
-    modes: list = field(default_factory=lambda: [2, 3, 4, 5, 6])
-    omega_grid: list = field(default_factory=list)
+    modes: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
+    omega_grid: list[float] = field(default_factory=list)
     omega: float | None = None
     s_max: float = 0.03
     steps: int = 10
-    axis_z: list = field(default_factory=lambda: [-0.5, 0.0, 0.3])
+    axis_z: list[float] = field(default_factory=lambda: [-0.5, 0.0, 0.3])
     outdir: str = "out"
 
     def check(self):
@@ -62,6 +63,18 @@ class RunConfig:
             raise DomainError(f"config: guard must lie in (0, 1e-2), got {self.guard}")
         if self.steps < 1:
             raise DomainError("config: steps must be >= 1")
+
+
+def _fits(hint, val) -> bool:
+    """True if a config-file value has the type of its RunConfig field
+    (an int is accepted where a float is expected, a bool nowhere)."""
+    if isinstance(val, bool):
+        return False
+    if hint == float | None:
+        return val is None or _fits(float, val)
+    if get_origin(hint) is list:
+        return isinstance(val, list) and all(_fits(get_args(hint)[0], v) for v in val)
+    return isinstance(val, (int, float) if hint is float else hint)
 
 
 def _fmt(x) -> str:
@@ -157,16 +170,15 @@ def cmd_eigenfun(cfg: RunConfig, profile, outdir: Path) -> int:
     for m in cfg.modes:
         if cfg.omega is not None:
             res = spectral.largest_eigenvalue(assemble_kernel_matrix(ctx, m, cfg.omega))
-            h, omega = res.eigvec, cfg.omega
+            h, omega, lam = res.eigvec, cfg.omega, res.lam
         else:
             bp = spectral.find_bifurcation_point(ctx, m)
-            res = spectral.largest_eigenvalue(assemble_kernel_matrix(ctx, m, bp.omega_m))
-            h, omega = bp.eigfun, bp.omega_m
+            h, omega, lam = bp.eigfun, bp.omega_m, bp.lam
         _write_csv(outdir / f"eigenfun_m{m}.csv", ["phi", "h"], list(zip(ctx.nodes, h)))
-        rep = spectral.eigenfunction_boundary_report(ctx, res)
+        rep = spectral.eigenfunction_boundary_report(ctx, h)
         reports[str(m)] = {
             "omega": omega,
-            "lambda": res.lam,
+            "lambda": lam,
             "boundary_0": rep.value_0,
             "boundary_pi": rep.value_pi,
             "interior_max": rep.interior_max,
@@ -266,9 +278,12 @@ def _build_config(args) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise OSError(f"config file {args.config}: {exc}") from exc
+        hints = get_type_hints(RunConfig)
         for key, val in raw.items():
-            if not hasattr(cfg, key):
+            if key not in hints:
                 raise DomainError(f"config file: unknown key {key!r}")
+            if not _fits(hints[key], val):
+                raise DomainError(f"config file: value {val!r} of {key!r} has the wrong type")
             setattr(cfg, key, val)
     for key in (
         "profile", "phi_nodes", "theta_nodes", "de_level", "direct_level", "n_modes",

@@ -11,6 +11,11 @@ evaluated on its boundary.  The radial part of the triple integral is
 integrated in closed form (antiderivative of r / sqrt(r^2 - 2cr + d^2)),
 leaving a 2-d (vphi, eta) quadrature whose only singular point is the
 evaluation target; both directions split there and use tanh-sinh rules.
+One batched path, ``_stream``, evaluates I(f) for every caller: per phi
+target it contracts a block of theta targets and both eta half-ranges
+in one tensor, whether the targets are the collocation grid (Ftilde,
+the Newton residual, the velocity-form check) or single points and
+full circles (``stream_I``, ``mean_m``, ``f_tilde_circle``).
 
 The branch of rotating solutions through the mode-m bifurcation point is
 parametrized by the amplitude s = <f, h*_m> and corrected by a damped
@@ -77,6 +82,8 @@ class Collocation:
     def __post_init__(self):
         if self.m < 2:
             raise DomainError(f"Collocation: m must be >= 2, got {self.m}")
+        if self.n_modes < 1:
+            raise DomainError(f"Collocation: n_modes must be >= 1, got {self.n_modes}")
         N = self.kctx.n_nodes
         self.half = N // 2
         j = np.arange(self.n_theta)
@@ -87,15 +94,6 @@ class Collocation:
         k = np.arange(1, self.n_modes + 1)
         self.cos_ktheta = np.cos(k[:, None] * self.m * self.theta[None, :])
         self.sin_ktheta = np.sin(k[:, None] * self.m * self.theta[None, :])
-        # flattened (theta sample, +/- eta side) tables: side s = 2 j + bit,
-        # angle eta = theta_j + sign * eta'_e with sign = +1 for bit 0
-        signs = np.array([1.0, -1.0])
-        eta_full = self.theta[:, None, None] + signs[None, :, None] * self.eta_nodes[None, None, :]
-        eta_full = eta_full.reshape(2 * self.n_theta, len(self.eta_nodes)).T  # (n_eta, n_sides)
-        self.ang_cos = np.cos(k[:, None, None] * self.m * eta_full[None, :, :])
-        self.ang_sin = np.sin(k[:, None, None] * self.m * eta_full[None, :, :])
-        self.exp_eta = np.exp(1j * eta_full)
-        self.rho_side = np.repeat(np.arange(self.n_theta), 2)
         self._geom = {}
         for t in range(self.half):
             self._geom[float(self.kctx.nodes[t])] = self._build_geometry(self.kctx.nodes[t])
@@ -177,77 +175,69 @@ def _radial_closed_form(rup, c, q):
     return s1 - s0 + c * np.log(ratio)
 
 
-def _mode_values(col: Collocation, f: Perturbation, geom) -> np.ndarray:
-    """f_k interpolated onto the vphi quadrature nodes of one target."""
-    return f.coeffs @ geom["P"].T
+def _angle_tables(col: Collocation, thetas: np.ndarray):
+    """Tables over the flattened (theta target, +/- eta half-range) sides:
+    side s = 2 j + bit holds the angle theta_j + eta (bit 0) or
+    theta_j - eta (bit 1).  Returns cos(k m angle) and sin(k m angle),
+    shape (n_modes, n_eta, n_sides), and exp(i angle), (n_eta, n_sides)."""
+    signs = np.array([1.0, -1.0])
+    angle = thetas[:, None, None] + signs[None, :, None] * col.eta_nodes[None, None, :]
+    angle = angle.reshape(2 * len(thetas), len(col.eta_nodes)).T
+    km = np.arange(1, col.n_modes + 1) * col.m
+    return np.cos(km[:, None, None] * angle), np.sin(km[:, None, None] * angle), np.exp(1j * angle)
 
 
-def _stream_point(col: Collocation, f: Perturbation | None, phi_t: float, theta_t: float) -> float:
-    """I(f) at one boundary target (phi_t, theta_t)."""
-    geom = col.geometry(phi_t)
-    vphi, wphi = geom["vphi"], geom["wphi"]
-    r0q, sinq, dcos = geom["r0q"], geom["sinq"], geom["dcos"]
-    if f is None:
-        rho = float(col.kctx.profile.r0(phi_t))
-        Fk = None
-    else:
-        k = np.arange(1, f.coeffs.shape[0] + 1)
-        node_vals = f.coeffs @ interp_matrix(col.kctx.nodes, col.kctx.bary, np.array([phi_t])).T
-        rho = float(col.kctx.profile.r0(phi_t) + np.sum(node_vals[:, 0] * np.cos(k * col.m * theta_t)))
-        Fk = _mode_values(col, f, geom)
-    total = 0.0
-    cs = rho * np.cos(col.eta_nodes)
-    q = (rho * np.sin(col.eta_nodes)[None, :]) ** 2 + dcos[:, None] ** 2
-    for sign in (+1.0, -1.0):
-        if f is None:
-            rup = np.broadcast_to(r0q[:, None], q.shape)
-        else:
-            k = np.arange(1, f.coeffs.shape[0] + 1)
-            ang = np.cos(k[:, None] * col.m * (theta_t + sign * col.eta_nodes)[None, :])
-            rup = r0q[:, None] + np.einsum("kp,ke->pe", Fk, ang)
-        K = _radial_closed_form(rup, cs[None, :], q)
-        total += np.einsum("p,e,pe->", wphi * sinq, col.eta_w, K)
-    return -total / (4.0 * np.pi)
+def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """r(phi_i, theta_j) with f_k interpolated barycentrically at phi_i
+    (an exact one-hot row at a grid node), shape (len(phis), len(thetas))."""
+    P = interp_matrix(col.kctx.nodes, col.kctx.bary, phis)
+    k = np.arange(1, col.n_modes + 1)
+    modes = np.cos(k[:, None] * col.m * thetas[None, :])
+    return col.kctx.profile.r0(phis)[:, None] + np.einsum("kt,kj->tj", f.coeffs @ P.T, modes)
+
+
+def _target_radii(col: Collocation, f: Perturbation) -> np.ndarray:
+    """r at the collocation targets, shape (half, n_theta)."""
+    return _radii(col, f, col.kctx.nodes[: col.half], col.theta)
+
+
+def _stream(col: Collocation, f: Perturbation, phis, thetas) -> np.ndarray:
+    """I(f) at the boundary targets (phis[i], thetas[j]), shape
+    (len(phis), len(thetas)).  Per phi target, blocks of at most n_theta
+    theta targets and both eta half-ranges are batched into one tensor
+    contraction, so no temporary outgrows the collocation grid's."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    R = _radii(col, f, phis, thetas)
+    blocks = [slice(b, b + col.n_theta) for b in range(0, len(thetas), col.n_theta)]
+    ang_cos = [_angle_tables(col, thetas[blk])[0] for blk in blocks]
+    cos_e = np.cos(col.eta_nodes)
+    sin_e = np.sin(col.eta_nodes)
+    out = np.empty(R.shape)
+    for i, phi in enumerate(phis):
+        geom = col.geometry(phi)
+        Fk = f.coeffs @ geom["P"].T
+        wsin = geom["wphi"] * geom["sinq"]
+        for blk, tab in zip(blocks, ang_cos):
+            rho = np.repeat(R[i, blk], 2)                          # (n_sides,)
+            cs = rho[None, :] * cos_e[:, None]                     # (n_eta, n_sides)
+            q = (rho[None, :] * sin_e[:, None]) ** 2 + geom["dcos"][:, None, None] ** 2
+            rup = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", Fk, tab)
+            K = _radial_closed_form(rup, cs[None, :, :], q)
+            acc = np.einsum("p,e,pes->s", wsin, col.eta_w, K)
+            out[i, blk] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
+    return out
 
 
 def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float) -> float:
     """Volume potential of the deformed body at the boundary point
     (r(phi, theta) e^{i theta}, cos phi)."""
-    if f is not None:
-        rmin = float(np.min(f.radius_at_nodes(np.linspace(0, 2 * np.pi, 32, endpoint=False))))
-        if rmin <= 0.0:
-            raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
-    return _stream_point(col, f, float(phi), float(theta))
-
-
-def _stream_batch(col: Collocation, f: Perturbation) -> np.ndarray:
-    """I(f) on the (half-grid x theta-sample) collocation targets; the
-    theta samples and both eta half-ranges are batched into one tensor
-    contraction per phi target."""
-    out = np.empty((col.half, col.n_theta))
-    r_targets = _target_radii(col, f)
-    cos_e = np.cos(col.eta_nodes)
-    sin_e = np.sin(col.eta_nodes)
-    for t in range(col.half):
-        geom = col.geometry(col.kctx.nodes[t])
-        r0q, sinq, dcos = geom["r0q"], geom["sinq"], geom["dcos"]
-        Fk = _mode_values(col, f, geom)
-        wsin = geom["wphi"] * sinq
-        rho = r_targets[t, col.rho_side]                       # (n_sides,)
-        cs = rho[None, :] * cos_e[:, None]                     # (n_eta, n_sides)
-        q = (rho[None, :] * sin_e[:, None]) ** 2 + dcos[:, None, None] ** 2
-        rup = r0q[:, None, None] + np.einsum("kp,kes->pes", Fk, col.ang_cos)
-        K = _radial_closed_form(rup, cs[None, :, :], q)
-        acc = np.einsum("p,e,pes->s", wsin, col.eta_w, K)
-        out[t] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
-    return out
-
-
-def _target_radii(col: Collocation, f: Perturbation) -> np.ndarray:
-    """r at the collocation targets, shape (half, n_theta)."""
-    return col.kctx.r0v[: col.half, None] + np.einsum(
-        "kt,kj->tj", f.coeffs[:, : col.half], col.cos_ktheta
-    )
+    if f is None:
+        f = Perturbation.zero(col)
+    rmin = float(np.min(f.radius_at_nodes(np.linspace(0, 2 * np.pi, 32, endpoint=False))))
+    if rmin <= 0.0:
+        raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
+    return float(_stream(col, f, phi, theta)[0, 0])
 
 
 def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
@@ -262,7 +252,7 @@ def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarra
     R = _target_radii(col, f)
     if np.min(R) <= 0.0:
         raise GeometryError("f_tilde: reconstructed radius is non-positive at a target")
-    I = _stream_batch(col, f)
+    I = _stream(col, f, col.kctx.nodes[: col.half], col.theta)
     bracket = I - 0.5 * omega * R ** 2
     mean = bracket.mean(axis=1)
     return (bracket - mean[:, None]) / col.kctx.r0v[: col.half, None]
@@ -275,21 +265,21 @@ def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None) -> np.
     return (2.0 / col.n_theta) * np.einsum("tj,kj->kt", samples, col.cos_ktheta)
 
 
+def _bracket_at(col: Collocation, omega: float, f: Perturbation, phi_t: float, thetas: np.ndarray) -> np.ndarray:
+    """I(f) - (Omega/2) r^2 at colatitude phi_t and the given theta set."""
+    phi = np.array([float(phi_t)])
+    r = _radii(col, f, phi, thetas)[0]
+    return _stream(col, f, phi, thetas)[0] - 0.5 * omega * r * r
+
+
 def f_tilde_circle(col: Collocation, omega: float, f: Perturbation | None, phi_t: float, n_samples: int = 64) -> np.ndarray:
     """Ftilde(Omega, f)(phi_t, theta) sampled on a uniform full-circle
     theta grid (symmetry and mode-leakage diagnostics; the collocation
     path itself only ever touches one half m-period)."""
     if f is None:
         f = Perturbation.zero(col)
-    thetas = periodic_trapezoid(n_samples).nodes
-    k = np.arange(1, f.coeffs.shape[0] + 1)
-    node_vals = (f.coeffs @ interp_matrix(col.kctx.nodes, col.kctx.bary, np.array([float(phi_t)])).T)[:, 0]
-    r0t = float(col.kctx.profile.r0(phi_t))
-    vals = np.empty(n_samples)
-    for i, th in enumerate(thetas):
-        r = r0t + float(np.sum(node_vals * np.cos(k * col.m * th)))
-        vals[i] = _stream_point(col, f, float(phi_t), float(th)) - 0.5 * omega * r * r
-    return (vals - np.mean(vals)) / r0t
+    vals = _bracket_at(col, omega, f, phi_t, periodic_trapezoid(n_samples).nodes)
+    return (vals - np.mean(vals)) / float(col.kctx.profile.r0(phi_t))
 
 
 def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float, full_period: bool = False) -> float:
@@ -299,17 +289,8 @@ def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float,
     whole circle with a trapezoid rule (consistency check path)."""
     if f is None:
         f = Perturbation.zero(col)
-    if full_period:
-        thetas = periodic_trapezoid(2 * col.m * col.n_theta).nodes
-    else:
-        thetas = col.theta
-    k = np.arange(1, f.coeffs.shape[0] + 1)
-    node_vals = (f.coeffs @ interp_matrix(col.kctx.nodes, col.kctx.bary, np.array([float(phi_t)])).T)[:, 0]
-    vals = []
-    for th in thetas:
-        r = float(col.kctx.profile.r0(phi_t) + np.sum(node_vals * np.cos(k * col.m * th)))
-        vals.append(_stream_point(col, f, float(phi_t), float(th)) - 0.5 * omega * r * r)
-    return float(np.mean(vals))
+    thetas = periodic_trapezoid(2 * col.m * col.n_theta).nodes if full_period else col.theta
+    return float(np.mean(_bracket_at(col, omega, f, phi_t, thetas)))
 
 
 # --------------------------------------------------------------------------
@@ -322,20 +303,21 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
     targets via the surface integral
     (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist."""
     km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
+    ang_cos, ang_sin, exp_eta = _angle_tables(col, col.theta)
     cos_e = np.cos(col.eta_nodes)
     sin_e = np.sin(col.eta_nodes)
     out = np.empty((col.half, col.n_theta), dtype=complex)
     for t in range(col.half):
         geom = col.geometry(col.kctx.nodes[t])
         r0q, dcos = geom["r0q"], geom["dcos"]
-        Fk = _mode_values(col, f, geom)
+        Fk = f.coeffs @ geom["P"].T
         wsin = geom["wphi"] * geom["sinq"]
-        rho = r_targets[t, col.rho_side]
-        r = r0q[:, None, None] + np.einsum("kp,kes->pes", Fk, col.ang_cos)
-        dr = -np.einsum("kp,k,kes->pes", Fk, km, col.ang_sin)
+        rho = np.repeat(r_targets[t], 2)
+        r = r0q[:, None, None] + np.einsum("kp,kes->pes", Fk, ang_cos)
+        dr = -np.einsum("kp,k,kes->pes", Fk, km, ang_sin)
         d2 = (r - rho[None, None, :] * cos_e[None, :, None]) ** 2 \
             + (rho[None, None, :] * sin_e[None, :, None]) ** 2 + dcos[:, None, None] ** 2
-        integrand = (dr + 1j * r) * col.exp_eta[None, :, :] / np.sqrt(d2)
+        integrand = (dr + 1j * r) * exp_eta[None, :, :] / np.sqrt(d2)
         acc = np.einsum("p,e,pes->s", wsin, col.eta_w, integrand)
         out[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
     return out
@@ -352,7 +334,7 @@ def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) ->
     if f is None:
         f = Perturbation.zero(col)
     R = _target_radii(col, f)
-    I = _stream_batch(col, f)
+    I = _stream(col, f, col.kctx.nodes[: col.half], col.theta)
     bracket = I - 0.5 * omega * R ** 2
     k = np.arange(1, col.n_modes + 1)
     km = (k * col.m).astype(float)

@@ -219,10 +219,11 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     return BifurcationPoint(m, omega_m, h, lam)
 
 
-def eigenfunction_boundary_report(ctx: KernelContext, result: SpectralResult) -> BoundaryReport:
+def eigenfunction_boundary_report(ctx: KernelContext, h: np.ndarray) -> BoundaryReport:
     """Quadratic extrapolation of |h| to the poles from the three nearest
-    nodes on each side (boundary behavior diagnostic)."""
-    h = np.abs(result.eigvec)
+    nodes on each side, for eigenfunction samples h on the grid (boundary
+    behavior diagnostic)."""
+    h = np.abs(h)
     x = ctx.nodes
 
     def extrap(idx, target):

@@ -156,13 +156,13 @@ def test_criterion_08_boundary_dichotomy(ctx96, ctx192):
         vals = []
         for ctx in (ctx96, ctx192):
             res = q.largest_eigenvalue(q.assemble_kernel_matrix(ctx, n, 0.0))
-            rep = q.eigenfunction_boundary_report(ctx, res)
+            rep = q.eigenfunction_boundary_report(ctx, res.eigvec)
             vals.append(max(rep.value_0, rep.value_pi))
         assert vals[1] * 1.4 <= vals[0]
         shrink[n] = vals[0] / vals[1]
     for ctx in (ctx96, ctx192):
         res = q.largest_eigenvalue(q.assemble_kernel_matrix(ctx, 1, 0.0))
-        rep = q.eigenfunction_boundary_report(ctx, res)
+        rep = q.eigenfunction_boundary_report(ctx, res.eigvec)
         assert min(rep.value_0, rep.value_pi) >= 0.1 * rep.interior_max
     _report(8, f"n>=2 boundary values shrink {shrink[2]:.1f}x/{shrink[3]:.1f}x per doubling; n=1 stays above 0.1 interior max")
 

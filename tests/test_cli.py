@@ -105,6 +105,22 @@ class TestEigenfun:
         rep = json.loads((out / "eigenfun_report.json").read_text())
         assert "2" in rep and rep["2"]["interior_max"] > 0
 
+    def test_report_describes_bifurcation_eigenpair(self, tmp_path):
+        # without --omega the report's lambda is that of the eigenpair
+        # written to eigenfun_m{m}.csv, i.e. bifpoints' lambda
+        args = ["--profile", "spheroid:0.5", "--phi-nodes", "48", "--de-level", "8", "--modes", "3,4"]
+        code, out = run(tmp_path / "e", "eigenfun", *args)
+        assert code == 0
+        code, bif = run(tmp_path / "b", "bifpoints", *args)
+        assert code == 0
+        rep = json.loads((out / "eigenfun_report.json").read_text())
+        for line in (bif / "bifpoints.csv").read_text().splitlines()[1:]:
+            m, _, lam = line.split(",")
+            assert abs(rep[m]["lambda"] - 1.0) <= 1e-10
+            assert rep[m]["lambda"] == pytest.approx(float(lam), abs=1e-12)
+            name = f"eigenfun_m{m}.csv"
+            assert (out / name).read_bytes() == (bif / name).read_bytes()
+
 
 class TestBranch:
     def test_small_branch(self, tmp_path):
@@ -138,6 +154,29 @@ class TestBranch:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         assert main(["branch", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"phi_nodes": "16"},
+            {"modes": "2,3"},
+            {"modes": [2.5]},
+            {"steps": 2.0},
+            {"guard": "1e-3"},
+            {"omega": "0.1"},
+            {"axis_z": [0.0, "x"]},
+            {"profile": 3},
+            {"n_modes": True},
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["branch", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
+
+    def test_zero_modes_exit_2(self, tmp_path):
+        code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")
+        assert code == 2
 
 
 class TestCrosscheck:

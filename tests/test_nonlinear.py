@@ -117,6 +117,19 @@ class TestFtilde:
         spec = np.fft.rfft(a) / len(a)
         assert np.max(np.abs(spec.imag)) <= 1e-10 * (np.max(np.abs(spec)) + 1e-30)
 
+    def test_point_path_matches_grid_path(self, col_sphere_m2):
+        # stream_I at each collocation target reproduces f_tilde's samples
+        col = col_sphere_m2
+        omega = 0.1
+        f = random_perturbation(col, 3)
+        R = f.radius_at_nodes(col.theta)
+        grid = q.f_tilde(col, omega, f)
+        for t in range(col.half):
+            phi = float(col.kctx.nodes[t])
+            bracket = np.array([q.stream_I(col, f, phi, th) for th in col.theta]) - 0.5 * omega * R[t] ** 2
+            point = (bracket - bracket.mean()) / col.kctx.r0v[t]
+            assert np.max(np.abs(point - grid[t])) <= 1e-13
+
     def test_linearization_residual_at_bifurcation(self, col_sphere_m2):
         # || Ftilde(Omega_m, eps h* cos m theta) || = O(eps^2) at Omega_m
         bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)

@@ -160,7 +160,7 @@ class TestBoundaryReport:
             reps = []
             for ctx in (ctx_c, ctx_f):
                 res = q.largest_eigenvalue(q.assemble_kernel_matrix(ctx, n, 0.0))
-                reps.append(q.eigenfunction_boundary_report(ctx, res))
+                reps.append(q.eigenfunction_boundary_report(ctx, res.eigvec))
             if shrinks:
                 assert reps[1].value_0 <= 0.7 * reps[0].value_0
             else:
