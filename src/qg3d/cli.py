@@ -293,11 +293,20 @@ def _build_config(args) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     if args.modes is not None:
-        cfg.modes = [int(s) for s in args.modes.split(",") if s.strip()]
+        cfg.modes = _list_arg("--modes", args.modes, int)
     if args.omega_grid is not None:
-        cfg.omega_grid = [float(s) for s in args.omega_grid.split(",") if s.strip()]
+        cfg.omega_grid = _list_arg("--omega-grid", args.omega_grid, float)
     cfg.check()
     return cfg
+
+
+def _list_arg(flag: str, text: str, kind) -> list:
+    """Comma-separated values of ``flag``; a bad item is a DomainError."""
+    items = [s for s in text.split(",") if s.strip()]
+    try:
+        return [kind(s) for s in items]
+    except ValueError:
+        raise DomainError(f"{flag}: expected comma-separated {kind.__name__} values, got {text!r}") from None
 
 
 def main(argv=None) -> int:

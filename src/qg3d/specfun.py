@@ -5,19 +5,26 @@ Everything downstream of the kernel formulas rests on the family
     F_n(x) = 2F1(n + 1/2, n + 1/2; 2n + 1; x),   x in [0, 1),
 
 which belongs to the logarithmic class c = a + b: it diverges like
--ln(1 - x) at the right endpoint.  Evaluation strategy:
+-ln(1 - x) at the right endpoint.  ``f_n_many`` evaluates it in two
+branches, split at u_switch = min(0.25, 14/(a*b)) in u = 1 - x (the
+split moves toward x = 1 as a*b grows; at a fixed 0.75 the endpoint
+expansion is badly conditioned once a = b >~ 8):
 
-* power series in x away from the endpoint (all terms positive, no
-  cancellation);
-* near x = 1, the standard connection expansion in u = 1 - x whose
-  coefficients carry digamma factors.  The two fixed-sign partial sums
-  of that expansion are accumulated separately in extended precision,
-  because their final combination cancels by several orders for larger
-  parameters.
+* u >= u_switch: the power series in x (all terms positive, no
+  cancellation), in double precision;
+* u < u_switch: the connection expansion in u whose coefficients carry
+  digamma factors, pref * (sum e_k d_k u^k - ln u sum e_k u^k), with
+  both sums in extended precision because their difference cancels by
+  up to ~1e6 at n = 8.
 
-The switch point between the branches moves toward x = 1 as a*b grows
-(u_switch = min(0.25, 14/(a*b))); at the default 0.75 the connection
-series is badly conditioned once a = b >~ 8.
+Both branches are Horner sums of a fixed length.  The points of a call
+are sorted into a few buckets by x (series) or u (endpoint), and each
+bucket has a term count fixed once per n in ``_fn_tables`` from an
+a-priori geometric bound on the truncated tail at the bucket's upper
+edge: below 1e-16 for the series and 1e-24 for the endpoint sums,
+relative to F_n >= 1.  A value therefore never depends on the other
+points of the call.  The endpoint coefficients are exact rationals
+rounded once to the working precision.
 
 The gamma and digamma cores are implemented here (Lanczos approximation
 and asymptotic series plus recurrence) so the package has no runtime
@@ -27,6 +34,7 @@ dependency beyond numpy.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +53,9 @@ __all__ = [
 
 _LD = np.longdouble
 _EULER = _LD("0.5772156649015328606065120900824024310422")
-_PI_LD = _LD("3.1415926535897932384626433832795028842")
+# ln 2 and pi as integer ratios, exact to 47 and 49 decimals
+_LN2 = (69314718055994530941723212145817656807550013436, 10 ** 47)
+_PI = (31415926535897932384626433832795028841971693993751, 10 ** 49)
 
 # Lanczos g = 7, 9-term coefficient set.
 _LANCZOS_G = 7.0
@@ -262,38 +272,147 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
 # fast path for the kernel family F_n
 # --------------------------------------------------------------------------
 
-_FN_CACHE: dict[int, tuple] = {}
+# Upper edges of the point buckets: x for the series branch, u = 1 - x for
+# the endpoint branch.  Edges at or beyond the branch switch are dropped
+# and the switch itself closes the last bucket.
+_SERIES_X_EDGES = (0.01, 0.05, 0.25, 0.5)
+_ENDPOINT_U_EDGES = (1e-12, 1e-6, 1e-3, 1e-2, 0.05)
+# relative truncation error allowed in the extended-precision endpoint sum
+_ENDPOINT_EXIT = 1e-24
 
 
-def _fn_tables(n: int):
-    """Cached per-n coefficient tables (series in double, connection in
-    extended precision, prefactor, switch point)."""
+@dataclass(frozen=True)
+class _FnTable:
+    """Per-n coefficients and a-priori term counts of the two branches."""
+
+    ser: np.ndarray       # series coefficients (a)_k^2 / ((2a)_k k!), double
+    cc: np.ndarray        # connection coefficients e_k, extended
+    cd: np.ndarray        # e_k d_k, extended
+    pref: np.longdouble   # Gamma(2a) / Gamma(a)^2
+    u_switch: float
+    x_edges: np.ndarray   # series bucket upper edges in x
+    x_terms: tuple        # series terms per bucket
+    u_edges: np.ndarray   # endpoint bucket upper edges in u
+    u_terms: tuple        # endpoint terms per bucket
+
+
+_FN_CACHE: dict[int, _FnTable] = {}
+
+
+def _rounded(num: int, den: int):
+    """The rational num / den (den > 0), rounded once to the working
+    precision (64-bit significand, or 53 bits where _LD is double)."""
+    if num == 0:
+        return _LD(0)
+    mag = abs(num)
+    for shift in (64 - mag.bit_length() + den.bit_length(), 63 - mag.bit_length() + den.bit_length()):
+        top, bot = (mag << shift, den) if shift >= 0 else (mag, den << -shift)
+        m = (2 * top + bot) // (2 * bot)
+        if m <= 1 << 64:
+            break
+    return np.ldexp(_LD(m if num > 0 else -m), -shift)
+
+
+def _tail_within(term: float, rho: float, tol: float) -> bool:
+    """Whether a tail whose first term is ``term`` and whose successive
+    term ratios are all at most ``rho`` sums to at most ``tol`` (geometric
+    bound term / (1 - rho))."""
+    return rho < 1 and term <= tol * (1 - rho)
+
+
+def _fn_tables(n: int) -> _FnTable:
+    """Cached per-n tables: coefficients of both branches and, for every
+    bucket, the number of terms that bounds the truncated tail.
+
+    The endpoint coefficients are exact rationals (ln 2 and pi enter as
+    47- and 49-digit ratios) rounded once to the working precision, so no
+    recurrence round-off reaches the endpoint sum, whose final
+    combination cancels by up to ~1e6 at n = 8.  With a = n + 1/2,
+    e_k = ((a)_k / k!)^2 and d_k = 4 ln 2 + 2 H_k - 4 sum_{j <= n+k} 1/(2j-1).
+
+    Tail bounds are taken at the bucket's upper edge, where every term is
+    largest, and are absolute; F_n >= 1 turns them into relative ones.
+    Series (double): successive terms ser_k x^k have ratio
+    x (a+k)^2 / ((2a+k)(k+1)), at most x max(that factor, 1) from k on,
+    and the tail is held below _SERIES_EXIT.  Endpoint (extended): terms
+    e_k u^k (|d_k| + |ln u|) have ratio at most u ((a+k)/(k+1))^2, since
+    |d_k| decreases and u^k |ln u| increases in u for u < 1/e; the tail
+    is held below _ENDPOINT_EXIT / pref.
+    """
     tab = _FN_CACHE.get(n)
     if tab is not None:
         return tab
+    u_switch = _log_case_switch(n + 0.5, n + 0.5)
+    x_edges = np.array([e for e in _SERIES_X_EDGES if e < 1.0 - u_switch] + [1.0 - u_switch])
+    u_edges = np.array([e for e in _ENDPOINT_U_EDGES if e < u_switch] + [u_switch])
+
+    # Coefficients are generated until the last bucket's tail is bounded;
+    # a bucket's term count is the first K at which its own bound holds.
     a = _LD(n) + _LD(0.5)
-    c = _LD(2 * n + 1)
-    kmax = MAX_SERIES_TERMS
-    ser = np.empty(kmax)
-    t = _LD(1.0)
-    for k in range(kmax):
-        ser[k] = float(t)
-        t *= (a + k) ** 2 / ((c + k) * (k + 1))
-    cc = np.empty(kmax, dtype=_LD)
-    dk = np.empty(kmax, dtype=_LD)
-    cc[0] = 1.0
-    dk[0] = -2 * _EULER - 2 * _digamma_ld(a)
-    for k in range(kmax - 1):
-        cc[k + 1] = cc[k] * ((a + k) / (k + 1)) ** 2
-        dk[k + 1] = dk[k] + 2 / _LD(k + 1) - 2 / (a + k)
-    # pref = Gamma(2n+1)/Gamma(n+1/2)^2 = 16^n (n!)^2 / (pi (2n)!)
-    pref = 1 / _PI_LD
-    for j in range(1, n + 1):
-        pref *= _LD(8 * j) / _LD(2 * j - 1)
-    u_switch = _log_case_switch(float(a), float(a))
-    tab = (ser, cc, dk, pref, u_switch)
+    ser, x_terms = [_LD(1.0)], [0] * len(x_edges)
+    k = 0
+    while not x_terms[-1]:
+        fac = (a + k) ** 2 / ((2 * a + k) * (k + 1))
+        for j, xe in enumerate(x_edges):
+            if k > 0 and not x_terms[j] and _tail_within(float(ser[k]) * xe ** k, xe * max(float(fac), 1.0), _SERIES_EXIT):
+                x_terms[j] = k
+        ser.append(ser[k] * fac)
+        k += 1
+    ser = np.array(ser, dtype=float)
+
+    # endpoint: e_k = (N_k / D_k)^2 and d_k = 4 ln 2 + P_k / Q_k exactly
+    pi, pi_den = _PI
+    pref = _rounded(16 ** n * math.factorial(n) ** 2 * pi_den, math.factorial(2 * n) * pi)
+    tol = _ENDPOINT_EXIT / float(pref)
+    ln2, ln2_den = _LN2
+    odd = math.prod(range(1, 2 * n, 2))
+    N, D = 1, 1
+    P, Q = -4 * sum(odd // (2 * j - 1) for j in range(1, n + 1)), odd
+    cc, cd, u_terms = [], [], [0] * len(u_edges)
+    for k in range(MAX_SERIES_TERMS):
+        d_num, d_den = 4 * ln2 * Q + P * ln2_den, Q * ln2_den
+        cc.append(_rounded(N * N, D * D))
+        cd.append(_rounded(N * N * d_num, D * D * d_den))
+        d_k = abs(d_num / d_den)
+        for j, ue in enumerate(u_edges):
+            term = float(cc[k]) * ue ** k * (d_k - math.log(ue))
+            if k > 0 and not u_terms[j] and _tail_within(term, ue * ((n + 0.5 + k) / (k + 1)) ** 2, tol):
+                u_terms[j] = k
+        if u_terms[-1]:
+            break
+        o = 2 * n + 1 + 2 * k                # 2 (a + k)
+        N, D = N * o, D * 2 * (k + 1)
+        P, Q = P * (k + 1) * o + (2 * o - 4 * (k + 1)) * Q, Q * (k + 1) * o
+        g = math.gcd(P, Q)
+        P, Q = P // g, Q // g
+    else:
+        raise AccuracyError(f"f_n_many: endpoint tail of F_{n} unbounded within {MAX_SERIES_TERMS} terms")
+    cc, cd = np.array(cc, dtype=_LD), np.array(cd, dtype=_LD)
+    tab = _FnTable(ser, cc, cd, pref, u_switch, x_edges, tuple(x_terms), u_edges, tuple(u_terms))
     _FN_CACHE[n] = tab
     return tab
+
+
+def _horner(coef: np.ndarray, terms: int, z: np.ndarray) -> np.ndarray:
+    """sum_{k < terms} coef[k] z^k, evaluated by Horner's rule."""
+    s = np.full_like(z, coef[terms - 1])
+    for k in range(terms - 2, -1, -1):
+        s *= z
+        s += coef[k]
+    return s
+
+
+def _by_bucket(z: np.ndarray, edges: np.ndarray):
+    """Yield (bucket, positions) for the points of z, bucket j holding
+    edges[j-1] < z <= edges[j]; points beyond the last edge join it."""
+    b = np.minimum(np.searchsorted(edges, z), len(edges) - 1)
+    order = np.argsort(b, kind="stable")
+    stops = np.cumsum(np.bincount(b, minlength=len(edges)))
+    start = 0
+    for j, stop in enumerate(stops):
+        if stop > start:
+            yield j, order[start:stop]
+        start = stop
 
 
 def f_n_many(n: int, x: np.ndarray, one_minus: np.ndarray | None = None) -> np.ndarray:
@@ -301,7 +420,9 @@ def f_n_many(n: int, x: np.ndarray, one_minus: np.ndarray | None = None) -> np.n
 
     ``one_minus`` optionally supplies 1 - x computed without cancellation
     (the kernel assembles it from the chordal distance directly); it is
-    what the endpoint expansion actually consumes.
+    what the endpoint expansion actually consumes.  Every point is summed
+    with the term count of its bucket, so each value depends on that
+    point alone, never on the other points of the call.
     """
     if n < 1:
         raise DomainError(f"f_n_many: n must be >= 1, got {n}")
@@ -312,34 +433,19 @@ def f_n_many(n: int, x: np.ndarray, one_minus: np.ndarray | None = None) -> np.n
         u_all = 1.0 - x
     else:
         u_all = np.ravel(np.asarray(one_minus, dtype=float))
-    ser, cc, dk, pref, u_switch = _fn_tables(n)
+    tab = _fn_tables(n)
     out = np.empty_like(x)
-    lo = u_all >= u_switch
-    if lo.any():
-        xs = x[lo]
-        p = np.ones_like(xs)
-        s = np.zeros_like(xs)
-        for k in range(len(ser)):
-            t = ser[k] * p
-            s += t
-            if k > 2 and np.all(t <= _SERIES_EXIT * s):
-                break
-            p *= xs
-        out[lo] = s
-    hi = ~lo
-    if hi.any():
-        u = np.maximum(u_all[hi].astype(_LD), _LD(1e-300))
-        lu = np.log(u)
-        p = np.ones_like(u)
-        sum_d = np.zeros_like(u)
-        sum_p = np.zeros_like(u)
-        for k in range(len(cc)):
-            sum_d += cc[k] * dk[k] * p
-            sum_p += cc[k] * p
-            p *= u
-            if k > 4 and np.all(cc[k] * p * (np.abs(dk[k]) + np.abs(lu)) <= _LD(1e-24) * np.abs(sum_d - lu * sum_p)):
-                break
-        out[hi] = (pref * (sum_d - lu * sum_p)).astype(float)
+    ser_at = np.flatnonzero(u_all >= tab.u_switch)
+    xs = x[ser_at]
+    for j, pos in _by_bucket(xs, tab.x_edges):
+        out[ser_at[pos]] = _horner(tab.ser, tab.x_terms[j], xs[pos])
+    end_at = np.flatnonzero(u_all < tab.u_switch)
+    us = np.maximum(u_all[end_at].astype(_LD), _LD(1e-300))
+    for j, pos in _by_bucket(us, tab.u_edges):
+        u = us[pos]
+        terms = tab.u_terms[j]
+        val = _horner(tab.cd, terms, u) - np.log(u) * _horner(tab.cc, terms, u)
+        out[end_at[pos]] = (tab.pref * val).astype(float)
     return out.reshape(shape)
 
 
@@ -365,27 +471,20 @@ def f_n_prime(n: int, x: float) -> float:
     x = float(x)
     if x < 0.0 or x >= 1.0:
         raise DomainError(f"f_n_prime: argument x={x} outside [0, 1)")
-    ser, cc, dk, pref, u_switch = _fn_tables(n)
+    tab = _fn_tables(n)
     a = n + 0.5
-    if 1.0 - x >= u_switch:
+    if 1.0 - x >= tab.u_switch:
         return a * a / (2 * n + 1.0) * _series_2f1(n + 1.5, n + 1.5, 2 * n + 2.0, x, MAX_SERIES_TERMS)[0]
-    # d/dx F_n(1-u) = pref * [B/u + ln(u) B' - A'],  A = sum e_k d_k u^k, B = sum e_k u^k
-    u = max(_LD(1.0) - _LD(x), _LD(1e-300))
-    lu = np.log(u)
-    p = _LD(1.0)
-    B = _LD(0.0)
-    Ap = _LD(0.0)
-    Bp = _LD(0.0)
-    for k in range(len(cc)):
-        B += cc[k] * p
-        if k >= 1:
-            q = cc[k] * k * p / u
-            Ap += q * dk[k]
-            Bp += q
-        p *= u
-        if k > 4 and cc[k] * p * (abs(dk[k]) + abs(lu)) * (k + 1) <= _LD(1e-24) * abs(B) * u:
-            break
-    return float(pref * (B / u + lu * Bp - Ap))
+    # d/dx F_n(1-u) = pref * [B/u + ln(u) B' - A'],  A = sum e_k d_k u^k, B = sum e_k u^k,
+    # each summed to the term count of u's bucket
+    u = np.array([max(_LD(1.0) - _LD(x), _LD(1e-300))])
+    j, _ = next(_by_bucket(u, tab.u_edges))
+    terms = tab.u_terms[j]
+    k = np.arange(1, terms)
+    B = _horner(tab.cc, terms, u)
+    Ap = _horner(k * tab.cd[1:terms], terms - 1, u)
+    Bp = _horner(k * tab.cc[1:terms], terms - 1, u)
+    return float((tab.pref * (B / u + np.log(u) * Bp - Ap))[0])
 
 
 def ring_integral(n: int, beta: float, A: float) -> float:

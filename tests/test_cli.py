@@ -43,6 +43,12 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--profile", "file:/nonexistent.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--modes=2,x", "--omega-grid=0.1,abc"])
+    def test_bad_list_item_exit_2(self, tmp_path, flag, capsys):
+        code, _ = run(tmp_path, "validate", "--profile", "sphere", flag)
+        assert code == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)
         r0 = np.sin(phi) * (1.0 + 0.3 * np.cos(phi))  # breaks H3

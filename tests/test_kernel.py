@@ -6,7 +6,8 @@ from scipy import special as sps
 
 import qg3d as q
 from qg3d.errors import DomainError
-from qg3d.kernel import row_apply
+from qg3d.kernel import _hn_values, row_apply
+from qg3d.quadrature import interp_matrix
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +173,35 @@ class TestDecayScan:
     def test_coincident_rejected(self, sphere):
         with pytest.raises(DomainError):
             q.hn_decay_scan(sphere, 1.0, 1.0, 4)
+
+
+class TestRowBlocks:
+    """The blocked row loops equal the per-row loop they replaced: one
+    row_rule and one H_n evaluation per target (clamped like the kernel,
+    since the rules reach nodes where 1 - x rounds to 0)."""
+
+    @pytest.fixture(params=["ctx_sphere_small", "bumped_ctx"])
+    def ctx(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def _row(ctx, n, pt):
+        t, w = ctx.row_rule(pt)
+        return t, w * _hn_values(ctx.profile, n, pt, t)
+
+    def test_mode_table_rows(self, ctx):
+        for n in (1, 3):
+            ref = np.array([np.sum(self._row(ctx, n, pt)[1]) for pt in ctx.nodes])
+            assert np.max(np.abs(ctx.mode_tables(n)[1] / ref - 1.0)) <= 1e-14
+
+    def test_b_matrix_rows(self, ctx):
+        B = ctx.mode_b_matrix(2)
+        for i, pt in enumerate(ctx.nodes):
+            t, wh = self._row(ctx, 2, pt)
+            ref = wh @ interp_matrix(ctx.nodes, ctx.bary, t)
+            assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_kappa(self, ctx):
+        fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
+        rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, fine])]
+        assert q.kappa(ctx) == pytest.approx(min(rows), rel=1e-14)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sps
 
 from oracles import euler_integral_2f1, ring_integral_quadrature
+from qg3d import specfun
 from qg3d.errors import AccuracyError, DomainError
 from qg3d.specfun import (
     digamma,
@@ -183,6 +184,52 @@ class TestFn:
             f_n(0, 0.5)
         with pytest.raises(DomainError):
             f_n(1, 1.0)
+
+
+def _fn_reference(n, x):
+    """scipy's 2F1 through the quadratic transformation for c = 2b,
+    F(a, a; 2a; x) = (1 - x/2)^(-a) F(a/2, a/2 + 1/2; a + 1/2; (x/(2-x))^2),
+    which keeps ~1e-13 where the direct call loses digits (n = 12 near
+    u = 0.09: 1.5e-10)."""
+    a = n + 0.5
+    return (1 - x / 2) ** (-a) * sps.hyp2f1(a / 2, a / 2 + 0.5, a + 0.5, (x / (2 - x)) ** 2)
+
+
+class TestFnBuckets:
+    """The bucketed Horner sums of f_n_many: seams and batch independence."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_bucket_edges_match_scipy(self, n):
+        # every bucket edge and its neighbours 1 ulp either side; the last
+        # series edge is 1 - u_switch and the last endpoint edge u_switch
+        tab = specfun._fn_tables(n)
+        near = lambda edges: np.array([v for e in edges for v in (np.nextafter(e, 0), e, np.nextafter(e, 1))])
+        xs = near(tab.x_edges)
+        us = near(tab.u_edges[tab.u_edges >= 1e-3])   # scipy loses digits below
+        x = np.concatenate([xs, 1.0 - us])
+        u = np.concatenate([1.0 - xs, us])
+        assert np.max(np.abs(f_n_many(n, x, u) / _fn_reference(n, x) - 1.0)) <= 2e-13
+
+    def test_batch_independent(self):
+        rng = np.random.default_rng(3)
+        u = np.concatenate([10.0 ** rng.uniform(-14, -0.3, 200), rng.uniform(0.3, 1.0, 100)])
+        rng.shuffle(u)
+        a, b = u[:170], u[170:]
+        for n in (1, 8):
+            whole = f_n_many(n, 1.0 - u, u)
+            assert np.array_equal(whole, np.concatenate([f_n_many(n, 1.0 - a, a), f_n_many(n, 1.0 - b, b)]))
+            assert np.array_equal(whole, [f_n_many(n, 1.0 - v, v)[0] for v in u[:, None]])
+
+    def test_double_only_tables(self, monkeypatch):
+        # where np.longdouble is plain double, the endpoint sum keeps the
+        # accuracy README states for that case
+        monkeypatch.setattr(specfun, "_LD", np.float64)
+        monkeypatch.setattr(specfun, "_FN_CACHE", {})
+        u = np.logspace(-3, np.log10(0.5), 200)
+        for n in range(1, 9):
+            assert specfun._fn_tables(n).cc.dtype == np.float64
+            err = np.max(np.abs(f_n_many(n, 1.0 - u, u) / _fn_reference(n, 1.0 - u) - 1.0))
+            assert err <= 1e-9
 
 
 class TestFnPrime:
