@@ -36,6 +36,7 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .profiles import Profile
 from .quadrature import barycentric_weights, interp_matrix, split_de
-from .specfun import f_n_many, gamma_fn
+from .specfun import f_n_many
 
 __all__ = [
     "KernelContext",
@@ -66,38 +67,39 @@ _ROW_BLOCK = 4
 
 
 def _cn(n: int) -> float:
-    # 2^{2n-1} ((1/2)_n)^2 / (2n)!
-    poch_half = gamma_fn(n + 0.5) / gamma_fn(0.5)
-    return 2.0 ** (2 * n - 1) * poch_half ** 2 / gamma_fn(2 * n + 1.0)
+    # 2^{2n-1} ((1/2)_n)^2 / (2n)! = binom(2n, n) / 2^{2n+1}, rounded once
+    return math.comb(2 * n, n) / 2 ** (2 * n + 1)
+
+
+def _chordal(p: Profile, phi, vphi):
+    """(r0(phi), r0(vphi), R, 1 - x) on broadcastable arguments, with
+    1 - x from the chordal identity and R floored at 1e-300 in its
+    denominator."""
+    rp = p.r0(phi)
+    rq = p.r0(vphi)
+    dc = np.cos(phi) - np.cos(vphi)
+    R = (rp + rq) ** 2 + dc ** 2
+    return rp, rq, R, ((rp - rq) ** 2 + dc ** 2) / np.maximum(R, 1e-300)
 
 
 def big_r(p: Profile, phi, vphi):
     """R(phi, vphi) = (r0(phi) + r0(vphi))^2 + (cos phi - cos vphi)^2."""
-    rp = p.r0(phi)
-    rq = p.r0(vphi)
-    return (rp + rq) ** 2 + (np.cos(phi) - np.cos(vphi)) ** 2
+    return _chordal(p, phi, vphi)[2]
 
 
 def _hn_values(p: Profile, n: int, phi, vphi, clamp: bool = True):
     """H_n on broadcastable argument arrays.
 
-    ``clamp`` floors the near-diagonal 1-x at a tiny positive value so
-    that quadrature nodes hugging the target stay finite; the public
-    :func:`h_n` disables it and raises instead.
+    ``clamp`` skips the coincidence checks so that quadrature nodes
+    hugging the target stay usable; the public :func:`h_n` disables it
+    and raises instead.
     """
-    phi = np.asarray(phi, dtype=float)
-    vphi = np.asarray(vphi, dtype=float)
-    rp = p.r0(phi)
-    rq = p.r0(vphi)
-    dc = np.cos(phi) - np.cos(vphi)
-    R = (rp + rq) ** 2 + dc ** 2
+    rp, rq, R, one_minus = _chordal(p, phi, vphi)
     if not clamp and np.any(R == 0.0):
         raise DomainError("h_n: coincident pole arguments degenerate (R = 0)")
-    one_minus = ((rp - rq) ** 2 + dc ** 2) / np.maximum(R, 1e-300)
     if not clamp and np.any(one_minus <= 0.0):
         raise DomainError("h_n: coincident interior arguments (x = 1) are singular")
-    x = 1.0 - one_minus
-    F = f_n_many(n, x, one_minus)
+    F = f_n_many(n, 1.0 - one_minus, one_minus)
     return _cn(n) * np.sin(vphi) * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5)) * F
 
 
@@ -111,13 +113,8 @@ def h_n(p: Profile, n: int, phi, vphi):
 def _wsym_values(p: Profile, n: int, phi, vphi):
     """Symmetric core W(phi, vphi) = H_n(phi, vphi) / (sin(vphi) r0^2(vphi)),
     evaluated in a manifestly symmetric way (bitwise W_ij = W_ji)."""
-    rp = p.r0(phi)
-    rq = p.r0(vphi)
-    dc = np.cos(phi) - np.cos(vphi)
-    R = (rp + rq) ** 2 + dc ** 2
-    one_minus = ((rp - rq) ** 2 + dc ** 2) / R
-    x = 1.0 - one_minus
-    F = f_n_many(n, x, one_minus)
+    rp, rq, R, one_minus = _chordal(p, phi, vphi)
+    F = f_n_many(n, 1.0 - one_minus, one_minus)
     return _cn(n) * (rp * rq) ** (n - 1) * R ** (-(n + 0.5)) * F
 
 
@@ -232,6 +229,11 @@ class KernelContext:
             self._cache["kappa"] = k
         return self._cache["kappa"]
 
+    @property
+    def omega_limit(self) -> float:
+        """kappa (1 - guard_frac): every Omega must lie strictly below it."""
+        return self.kappa * (1.0 - self.guard_frac)
+
 
 @dataclass(frozen=True)
 class NuTable:
@@ -270,12 +272,8 @@ class KernelMatrix:
     omega: float
     entries: np.ndarray
     sym_entries: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
     nu: np.ndarray
     mu_w: np.ndarray
-    kappa: float
-    row_integrals: np.ndarray
     raw_offdiag: np.ndarray
 
 
@@ -294,11 +292,10 @@ def assemble_kernel_matrix(
     if strip_nu:
         nu_vals = np.ones(ctx.n_nodes)
     else:
-        k = ctx.kappa
-        if omega > k - ctx.guard_frac * k:
+        if not omega < ctx.omega_limit:
             raise DomainError(
                 f"assemble_kernel_matrix: omega={omega} not below kappa - guard "
-                f"= {k - ctx.guard_frac * k} (measure would lose positivity)"
+                f"= {ctx.omega_limit} (measure would lose positivity)"
             )
         nu_vals = ctx.nu0 - omega
     mw = ctx.mv * ctx.weights
@@ -315,12 +312,8 @@ def assemble_kernel_matrix(
         omega=float(omega),
         entries=M,
         sym_entries=S,
-        nodes=ctx.nodes,
-        weights=ctx.weights,
         nu=nu_vals,
         mu_w=mw * nu_vals,
-        kappa=ctx.kappa if not strip_nu else float("nan"),
-        row_integrals=rowint,
         raw_offdiag=raw_offdiag,
     )
 

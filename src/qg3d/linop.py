@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .kernel import KernelContext, nu_omega, row_apply
 from .nonlinear import Collocation, Perturbation, f_tilde
-from .quadrature import double_exponential, interp_matrix
+from .quadrature import double_exponential, interp_matrix, split_de
 
 __all__ = [
     "ModeFunction",
@@ -78,10 +78,8 @@ def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> ModeFuncti
     sin_half_sq = np.sin(0.5 * eta) ** 2
     out = np.empty(ctx.n_nodes)
     for i, pt in enumerate(ctx.nodes):
-        left = double_exponential(0.0, pt, lvl)
-        right = double_exponential(pt, np.pi, lvl)
-        vphi = np.concatenate([left.nodes, right.nodes])
-        wphi = np.concatenate([left.weights, right.weights])
+        rule = split_de(0.0, np.pi, pt, lvl)
+        vphi, wphi = rule.nodes, rule.weights
         r0q = ctx.profile.r0(vphi)
         hq = interp_matrix(ctx.nodes, ctx.bary, vphi) @ hv
         rp = ctx.r0v[i]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, SolverError
 from .kernel import KernelContext
-from .quadrature import double_exponential, interp_matrix, periodic_trapezoid
+from .quadrature import double_exponential, interp_matrix, periodic_trapezoid, split_de
 from .spectral import BifurcationPoint, find_bifurcation_point
 
 __all__ = [
@@ -95,28 +95,20 @@ class Collocation:
         self.cos_ktheta = np.cos(k[:, None] * self.m * self.theta[None, :])
         self.sin_ktheta = np.sin(k[:, None] * self.m * self.theta[None, :])
         self._geom = {}
-        for t in range(self.half):
-            self._geom[float(self.kctx.nodes[t])] = self._build_geometry(self.kctx.nodes[t])
-
-    def _build_geometry(self, phi_t: float):
-        left = double_exponential(0.0, phi_t, self.phi_level)
-        right = double_exponential(phi_t, np.pi, self.phi_level)
-        vphi = np.concatenate([left.nodes, right.nodes])
-        wphi = np.concatenate([left.weights, right.weights])
-        P = interp_matrix(self.kctx.nodes, self.kctx.bary, vphi)
-        return {
-            "vphi": vphi,
-            "wphi": wphi,
-            "P": P,
-            "r0q": self.kctx.profile.r0(vphi),
-            "sinq": np.sin(vphi),
-            "dcos": np.cos(phi_t) - np.cos(vphi),
-        }
 
     def geometry(self, phi_t: float):
+        """Split tanh-sinh vphi rule at the target phi_t with the profile
+        and interpolation samples at its nodes, built once per target."""
         key = float(phi_t)
         if key not in self._geom:
-            self._geom[key] = self._build_geometry(key)
+            rule = split_de(0.0, np.pi, key, self.phi_level)
+            vphi = rule.nodes
+            self._geom[key] = {
+                "wsin": rule.weights * np.sin(vphi),
+                "P": interp_matrix(self.kctx.nodes, self.kctx.bary, vphi),
+                "r0q": self.kctx.profile.r0(vphi),
+                "dcos": np.cos(key) - np.cos(vphi),
+            }
         return self._geom[key]
 
 
@@ -196,19 +188,11 @@ def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarr
     return col.kctx.profile.r0(phis)[:, None] + np.einsum("kt,kj->tj", f.coeffs @ P.T, modes)
 
 
-def _target_radii(col: Collocation, f: Perturbation) -> np.ndarray:
-    """r at the collocation targets, shape (half, n_theta)."""
-    return _radii(col, f, col.kctx.nodes[: col.half], col.theta)
-
-
-def _stream(col: Collocation, f: Perturbation, phis, thetas) -> np.ndarray:
-    """I(f) at the boundary targets (phis[i], thetas[j]), shape
-    (len(phis), len(thetas)).  Per phi target, blocks of at most n_theta
-    theta targets and both eta half-ranges are batched into one tensor
-    contraction, so no temporary outgrows the collocation grid's."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    R = _radii(col, f, phis, thetas)
+def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """I(f) at the boundary targets (phis[i], thetas[j]) of radii R,
+    shape (len(phis), len(thetas)).  Per phi target, blocks of at most
+    n_theta theta targets and both eta half-ranges are batched into one
+    tensor contraction, so no temporary outgrows the collocation grid's."""
     blocks = [slice(b, b + col.n_theta) for b in range(0, len(thetas), col.n_theta)]
     ang_cos = [_angle_tables(col, thetas[blk])[0] for blk in blocks]
     cos_e = np.cos(col.eta_nodes)
@@ -217,7 +201,7 @@ def _stream(col: Collocation, f: Perturbation, phis, thetas) -> np.ndarray:
     for i, phi in enumerate(phis):
         geom = col.geometry(phi)
         Fk = f.coeffs @ geom["P"].T
-        wsin = geom["wphi"] * geom["sinq"]
+        wsin = geom["wsin"]
         for blk, tab in zip(blocks, ang_cos):
             rho = np.repeat(R[i, blk], 2)                          # (n_sides,)
             cs = rho[None, :] * cos_e[:, None]                     # (n_eta, n_sides)
@@ -237,7 +221,19 @@ def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float)
     rmin = float(np.min(f.radius_at_nodes(np.linspace(0, 2 * np.pi, 32, endpoint=False))))
     if rmin <= 0.0:
         raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
-    return float(_stream(col, f, phi, theta)[0, 0])
+    phis, thetas = np.array([float(phi)]), np.array([float(theta)])
+    return float(_stream(col, f, phis, thetas, _radii(col, f, phis, thetas))[0, 0])
+
+
+def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas):
+    """(r, I(f) - (Omega/2) r^2) at the boundary targets (phis[i],
+    thetas[j]), each of shape (len(phis), len(thetas))."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    r = _radii(col, f, phis, thetas)
+    if np.min(r) <= 0.0:
+        raise GeometryError("reconstructed radius is non-positive at a target")
+    return r, _stream(col, f, phis, thetas, r) - 0.5 * omega * r ** 2
 
 
 def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
@@ -249,11 +245,7 @@ def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarra
     """
     if f is None:
         f = Perturbation.zero(col)
-    R = _target_radii(col, f)
-    if np.min(R) <= 0.0:
-        raise GeometryError("f_tilde: reconstructed radius is non-positive at a target")
-    I = _stream(col, f, col.kctx.nodes[: col.half], col.theta)
-    bracket = I - 0.5 * omega * R ** 2
+    _, bracket = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
     mean = bracket.mean(axis=1)
     return (bracket - mean[:, None]) / col.kctx.r0v[: col.half, None]
 
@@ -265,20 +257,13 @@ def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None) -> np.
     return (2.0 / col.n_theta) * np.einsum("tj,kj->kt", samples, col.cos_ktheta)
 
 
-def _bracket_at(col: Collocation, omega: float, f: Perturbation, phi_t: float, thetas: np.ndarray) -> np.ndarray:
-    """I(f) - (Omega/2) r^2 at colatitude phi_t and the given theta set."""
-    phi = np.array([float(phi_t)])
-    r = _radii(col, f, phi, thetas)[0]
-    return _stream(col, f, phi, thetas)[0] - 0.5 * omega * r * r
-
-
 def f_tilde_circle(col: Collocation, omega: float, f: Perturbation | None, phi_t: float, n_samples: int = 64) -> np.ndarray:
     """Ftilde(Omega, f)(phi_t, theta) sampled on a uniform full-circle
     theta grid (symmetry and mode-leakage diagnostics; the collocation
     path itself only ever touches one half m-period)."""
     if f is None:
         f = Perturbation.zero(col)
-    vals = _bracket_at(col, omega, f, phi_t, periodic_trapezoid(n_samples).nodes)
+    vals = _bracket(col, omega, f, float(phi_t), periodic_trapezoid(n_samples).nodes)[1][0]
     return (vals - np.mean(vals)) / float(col.kctx.profile.r0(phi_t))
 
 
@@ -290,7 +275,7 @@ def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float,
     if f is None:
         f = Perturbation.zero(col)
     thetas = periodic_trapezoid(2 * col.m * col.n_theta).nodes if full_period else col.theta
-    return float(np.mean(_bracket_at(col, omega, f, phi_t, thetas)))
+    return float(np.mean(_bracket(col, omega, f, float(phi_t), thetas)[1][0]))
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +296,7 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
         geom = col.geometry(col.kctx.nodes[t])
         r0q, dcos = geom["r0q"], geom["dcos"]
         Fk = f.coeffs @ geom["P"].T
-        wsin = geom["wphi"] * geom["sinq"]
+        wsin = geom["wsin"]
         rho = np.repeat(r_targets[t], 2)
         r = r0q[:, None, None] + np.einsum("kp,kes->pes", Fk, ang_cos)
         dr = -np.einsum("kp,k,kes->pes", Fk, km, ang_sin)
@@ -333,9 +318,7 @@ def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) ->
     """
     if f is None:
         f = Perturbation.zero(col)
-    R = _target_radii(col, f)
-    I = _stream(col, f, col.kctx.nodes[: col.half], col.theta)
-    bracket = I - 0.5 * omega * R ** 2
+    R, bracket = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
     k = np.arange(1, col.n_modes + 1)
     km = (k * col.m).astype(float)
     bmodes = (2.0 / col.n_theta) * np.einsum("tj,kj->kt", bracket, col.cos_ktheta)
@@ -366,10 +349,8 @@ def velocity_on_axis(col: Collocation, f: Perturbation | None, z_list) -> float:
     eta, weta = rule.nodes, rule.weights
     k = np.arange(1, f.coeffs.shape[0] + 1)
     km = (k * f.m).astype(float)
-    cos_a = np.cos(km[:, None] * eta[None, :])
-    sin_a = np.sin(km[:, None] * eta[None, :])
-    r_vals = ctx.r0v[:, None] + np.einsum("kn,ke->ne", f.coeffs, cos_a)
-    dr_vals = -np.einsum("kn,k,ke->ne", f.coeffs, km, sin_a)
+    r_vals = f.radius_at_nodes(eta)
+    dr_vals = -np.einsum("kn,k,ke->ne", f.coeffs, km, np.sin(km[:, None] * eta[None, :]))
     worst = 0.0
     for z in np.atleast_1d(z_list):
         U = _axis_velocity_grid(ctx.sinv, np.cos(ctx.nodes), ctx.weights, eta, weta, r_vals, dr_vals, float(z))
@@ -432,7 +413,7 @@ def _omega_column(col: Collocation, u: np.ndarray) -> np.ndarray:
     -(r^2 - mean r^2) / (2 r0), no integrals involved."""
     half, _ = _unpack(col, u)
     f = Perturbation.from_half(col, half)
-    R2 = _target_radii(col, f) ** 2
+    R2 = f.radius_at_nodes(col.theta)[: col.half] ** 2
     dsample = -(R2 - R2.mean(axis=1)[:, None]) / (2.0 * col.kctx.r0v[: col.half, None])
     dmodes = (2.0 / col.n_theta) * np.einsum("tj,kj->kt", dsample, col.cos_ktheta)
     return np.concatenate([dmodes.ravel(), [0.0]])

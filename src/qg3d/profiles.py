@@ -111,26 +111,6 @@ class Profile:
         dh11 = s * (3 * s - 2)
         return (dh00 * y0 + h * dh10 * d0 + dh01 * y1 + h * dh11 * d1) / h
 
-    def r0_d2(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        if self.kind in (SPHERE, SPHEROID):
-            return -self.a * np.sin(phi)
-        idx, h, s = self._cell(phi)
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        d0, d1 = self.slopes[idx], self.slopes[idx + 1]
-        d2h00 = 12 * s - 6
-        d2h10 = 6 * s - 4
-        d2h01 = -d2h00
-        d2h11 = 6 * s - 2
-        return (d2h00 * y0 + h * d2h10 * d0 + d2h01 * y1 + h * d2h11 * d1) / (h * h)
-
-    def label(self) -> str:
-        if self.kind == SPHERE:
-            return "sphere"
-        if self.kind == SPHEROID:
-            return f"spheroid:{self.a:g}"
-        return "tabulated"
-
 
 def make_profile(kind: str, a: float = 1.0, phi=None, r0=None) -> Profile:
     """Construct a profile.

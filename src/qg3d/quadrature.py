@@ -15,6 +15,7 @@ plain weighted sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +80,24 @@ def gauss_panel(order: int, a: float, b: float, panels: int = 1) -> QuadratureRu
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), GAUSS_PANEL, a, b)
 
 
+@functools.cache
+def _de_reference(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tanh-sinh reference of step h = 2^-level: the distances
+    1 - tanh(u_k) of the nodes to the endpoint and the weights, both for
+    half-width 1 and k = 0..kmax.  The abscissae depend only on the step,
+    so every rule of one level maps the same arrays."""
+    h = 0.5 ** level
+    kmax = int(np.floor(np.arcsinh(2.0 * _DE_UMAX / np.pi) / h))
+    t = h * np.arange(0, kmax + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    # distance of tanh(u) to 1 without cancellation: 1 - tanh(u) = 2/(e^{2u}+1)
+    dist = 2.0 / (np.exp(2.0 * u) + 1.0)
+    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    dist.flags.writeable = False
+    w.flags.writeable = False
+    return dist, w
+
+
 def double_exponential(a: float, b: float, level: int) -> QuadratureRule:
     """tanh-sinh rule on (a, b) with step h = 2^-level.
 
@@ -90,13 +109,7 @@ def double_exponential(a: float, b: float, level: int) -> QuadratureRule:
         raise DomainError(f"double_exponential: requires a < b, got a={a}, b={b}")
     if level < 1:
         raise DomainError(f"double_exponential: level must be >= 1, got {level}")
-    h = 0.5 ** level
-    kmax = int(np.floor(np.arcsinh(2.0 * _DE_UMAX / np.pi) / h))
-    t = h * np.arange(0, kmax + 1)
-    u = 0.5 * np.pi * np.sinh(t)
-    # distance of tanh(u) to 1 without cancellation: 1 - tanh(u) = 2/(e^{2u}+1)
-    dist = 2.0 / (np.exp(2.0 * u) + 1.0)
-    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    dist, w = _de_reference(level)
     half = 0.5 * (b - a)
     # nodes anchored at their nearest endpoint so that clustering scales
     # survive floating point whenever that endpoint is exactly representable

@@ -26,9 +26,9 @@ relative to F_n >= 1.  A value therefore never depends on the other
 points of the call.  The endpoint coefficients are exact rationals
 rounded once to the working precision.
 
-The gamma and digamma cores are implemented here (Lanczos approximation
-and asymptotic series plus recurrence) so the package has no runtime
-dependency beyond numpy.
+The gamma function is the standard library's ``math.gamma`` behind a
+pole check; the digamma cores are implemented here (asymptotic series
+plus recurrence) so the package has no runtime dependency beyond numpy.
 """
 
 from __future__ import annotations
@@ -57,20 +57,6 @@ _EULER = _LD("0.5772156649015328606065120900824024310422")
 _LN2 = (69314718055994530941723212145817656807550013436, 10 ** 47)
 _PI = (31415926535897932384626433832795028841971693993751, 10 ** 49)
 
-# Lanczos g = 7, 9-term coefficient set.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 MAX_SERIES_TERMS = 500
 _SERIES_EXIT = 1e-16
 
@@ -80,22 +66,11 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for real x, x not a non-positive integer.
-
-    Lanczos approximation on x >= 0.5, reflection formula below.
-    """
+    """Gamma function for real x, x not a non-positive integer."""
     x = float(x)
     if _is_nonpositive_integer(x):
         raise DomainError(f"gamma_fn: pole at non-positive integer x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def _rgamma(x: float) -> float:

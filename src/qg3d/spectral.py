@@ -152,10 +152,9 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid) -> DispersionCurve:
     monotonicity anomalies (decreasing in n, increasing in Omega) flagged."""
     n_list = list(n_list)
     omega_grid = list(omega_grid)
-    guard_hi = ctx.kappa * (1.0 - ctx.guard_frac)
     for om in omega_grid:
-        if not om < guard_hi:
-            raise DomainError(f"dispersion_scan: omega={om} not below kappa - guard={guard_hi}")
+        if not om < ctx.omega_limit:
+            raise DomainError(f"dispersion_scan: omega={om} not below kappa - guard={ctx.omega_limit}")
     results = [largest_eigenvalue(assemble_kernel_matrix(ctx, n, om)) for n in n_list for om in omega_grid]
     rows = [(r.n, r.omega, r.lam, r.iterations, r.residual) for r in results]
     lam = {(r.n, r.omega): r.lam for r in results}
@@ -206,10 +205,9 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     vals, vecs = np.linalg.eig(np.diag(ctx.nu0) - B)
     j = int(np.argmin(vals.real))
     omega_m = float(vals[j].real)
-    hi = ctx.kappa * (1.0 - ctx.guard_frac)
-    if not omega_m < hi:
+    if not omega_m < ctx.omega_limit:
         raise SolverError(
-            f"find_bifurcation_point: Omega_{m} = {omega_m} not below kappa - guard = {hi}; "
+            f"find_bifurcation_point: Omega_{m} = {omega_m} not below kappa - guard = {ctx.omega_limit}; "
             "refine the guard to expose the root"
         )
     nu = ctx.nu0 - omega_m

@@ -1,12 +1,15 @@
 """Kernels H_n, the coefficient function nu, kappa, and Nystrom assembly."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import special as sps
 
 import qg3d as q
 from qg3d.errors import DomainError
-from qg3d.kernel import _hn_values, row_apply
+from qg3d.kernel import _cn, _hn_values, row_apply
 from qg3d.quadrature import interp_matrix
 
 
@@ -57,6 +60,14 @@ class TestHn:
     def test_coincident_raises(self, sphere):
         with pytest.raises(DomainError):
             q.h_n(sphere, 1, 1.0, 1.0)
+
+    def test_cn_exact(self):
+        # c_n = 2^{2n-1} ((1/2)_n)^2 / (2n)! in exact rationals, rounded once
+        for n in range(1, 13):
+            poch = Fraction(1)
+            for k in range(n):
+                poch *= Fraction(1, 2) + k
+            assert _cn(n) == float(2 ** (2 * n - 1) * poch ** 2 / math.factorial(2 * n))
 
 
 class TestNuAndKappa:
@@ -205,3 +216,18 @@ class TestRowBlocks:
         fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
         rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, fine])]
         assert q.kappa(ctx) == pytest.approx(min(rows), rel=1e-14)
+
+
+class TestOmegaGuard:
+    """Omega must lie strictly below kappa (1 - guard_frac) on every path."""
+
+    @pytest.mark.parametrize("kind,a", [("sphere", 1.0), ("spheroid", 2.0), ("spheroid", 0.5)])
+    def test_limit_itself_rejected(self, kind, a):
+        ctx = q.KernelContext(q.make_profile(kind, a=a), 16, 4, 3)
+        limit = ctx.kappa * (1.0 - ctx.guard_frac)
+        assert ctx.omega_limit == limit
+        with pytest.raises(DomainError):
+            q.assemble_kernel_matrix(ctx, 2, limit)
+        with pytest.raises(DomainError):
+            q.dispersion_scan(ctx, [2], [limit])
+        q.assemble_kernel_matrix(ctx, 2, float(np.nextafter(limit, -np.inf)))

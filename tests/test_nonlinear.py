@@ -63,6 +63,18 @@ class TestStreamPotential:
         with pytest.raises(GeometryError):
             q.stream_I(col_sphere_m2, bad, 1.0, 0.0)
 
+    def test_bracket_guard_on_every_path(self, col_sphere_m2):
+        # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
+        coeffs = np.zeros((4, 24))
+        coeffs[0] = -2.0 * np.sin(col_sphere_m2.kctx.nodes)
+        bad = Perturbation(2, coeffs, col_sphere_m2.kctx)
+        with pytest.raises(GeometryError):
+            q.velocity_residual(col_sphere_m2, 0.1, bad)
+        with pytest.raises(GeometryError):
+            q.mean_m(col_sphere_m2, 0.1, bad, 1.0)
+        with pytest.raises(GeometryError):
+            f_tilde_circle(col_sphere_m2, 0.1, bad, 1.0, 16)
+
 
 class TestMean:
     def test_trivial_profile_value(self, col_sphere_m2):

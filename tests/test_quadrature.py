@@ -5,6 +5,7 @@ import pytest
 
 from qg3d.errors import DomainError
 from qg3d.quadrature import (
+    _de_reference,
     barycentric_weights,
     double_exponential,
     gauss_panel,
@@ -62,6 +63,31 @@ class TestDoubleExponential:
         for lvl in (4, 8):
             rule = double_exponential(0.0, 2.5, lvl)
             assert np.sum(rule.weights) == pytest.approx(2.5, abs=1e-12)
+
+
+class TestRuleCache:
+    """Every rule of one level maps the same cached reference; the rule a
+    caller receives is its own to modify."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: double_exponential(0.0, 1.0, 6),
+        lambda: split_de(0.0, np.pi, 1.0, 6),
+    ], ids=["double_exponential", "split_de"])
+    def test_in_place_edit_does_not_leak(self, make):
+        first = make()
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 0.5
+        first.weights[:] *= 2.0
+        again = make()
+        assert np.array_equal(again.nodes, nodes)
+        assert np.array_equal(again.weights, weights)
+
+    def test_reference_read_only(self):
+        double_exponential(0.0, 1.0, 6)
+        for arr in _de_reference(6):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestPeriodicTrapezoid:
