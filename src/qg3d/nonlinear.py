@@ -13,15 +13,22 @@ leaving a 2-d (vphi, eta) quadrature whose only singular point is the
 evaluation target; both directions split there and use tanh-sinh rules.
 One batched path, ``_stream``, evaluates I(f) for every caller: per phi
 target it contracts a block of theta targets and both eta half-ranges
-in one tensor, whether the targets are the collocation grid (Ftilde,
-the Newton residual, the velocity-form check) or single points and
-full circles (``stream_I``, ``mean_m``, ``f_tilde_circle``).
+as one (vphi, eta, side) tensor, whether the targets are the collocation
+grid (Ftilde, the Newton residual, the velocity-form check) or single
+points and full circles (``stream_I``, ``mean_m``, ``f_tilde_circle``).
+It walks that tensor in chunks of vphi rows of about 20k elements, so
+every temporary stays in cache; ``_velocity_batch`` walks the same
+chunks.
 
 The branch of rotating solutions through the mode-m bifurcation point is
 parametrized by the amplitude s = <f, h*_m> and corrected by a damped
 Newton iteration on the square collocation system
 {mode coefficients of Ftilde = 0, amplitude = s} in the unknowns
-(f-coefficients on the equatorial half grid, Omega).
+(f-coefficients on the equatorial half grid, Omega).  Its Jacobian is
+exact and rebuilt at every iteration: ``_stream`` differentiates the
+closed form in its upper limit (the source surface) and in the target
+radius, chunk by chunk, and the chain rule through the radii, the
+theta-mean subtraction and the mode projection is linear.
 """
 
 from __future__ import annotations
@@ -52,9 +59,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-8
 NEWTON_MAXIT = 25
-FD_STEP = 1e-6
 DAMP_MAX = 6
-REFRESH_AFTER = 8
 
 
 # --------------------------------------------------------------------------
@@ -155,16 +160,47 @@ class Perturbation:
 # --------------------------------------------------------------------------
 
 
-def _radial_closed_form(rup, c, q):
+def _radial_closed_form(rup, c, q, partials: bool = False):
     """int_0^rup r dr / sqrt(r^2 - 2 c r + c^2 + q): antiderivative
     sqrt((r-c)^2 + q) + c ln(r - c + sqrt((r-c)^2 + q)), with the log
-    argument computed cancellation-free on the r < c side."""
-    s1 = np.sqrt((rup - c) ** 2 + q)
-    z1 = np.where(rup >= c, (rup - c) + s1, q / np.maximum((c - rup) + s1, 1e-300))
+    argument computed cancellation-free on the r < c side.
+
+    With ``partials`` it returns (K, dK/drup, dK/dc, dK/dq):
+    dK/drup = rup / s1 (the integrand at the upper limit),
+    dK/dc = ln(z1/z0) - rup / s1 and
+    dK/dq = (1/s1 - 1/s0) / 2 + c (1/(s1 z1) - 1/(s0 z0)) / 2,
+    where s1, z1 and s0, z0 are the root and the log argument at r = rup
+    and r = 0."""
+    d = rup - c
+    s1 = np.sqrt(d * d + q)
+    t1 = np.abs(d) + s1
+    z1 = np.maximum(np.where(d >= 0, t1, q / t1), 1e-300)
     s0 = np.sqrt(c * c + q)
-    z0 = np.where(c <= 0, -c + s0, q / np.maximum(c + s0, 1e-300))
-    ratio = np.maximum(z1, 1e-300) / np.maximum(z0, 1e-300)
-    return s1 - s0 + c * np.log(ratio)
+    t0 = np.abs(c) + s0
+    z0 = np.maximum(np.where(c <= 0, t0, q / t0), 1e-300)
+    log_ratio = np.log(z1 / z0)
+    K = s1 - s0 + c * log_ratio
+    if not partials:
+        return K
+    i1 = 1.0 / s1
+    i0 = 1.0 / s0
+    d_rup = rup * i1
+    return K, d_rup, log_ratio - d_rup, 0.5 * ((i1 - i0) + c * (i1 / z1 - i0 / z0))
+
+
+# Elements in one chunk of a (vphi, eta, side) tensor.  About 20k doubles
+# keep every temporary of a chunk in cache: 12 vphi rows at 109 eta nodes
+# x 16 sides.
+_CHUNK_ELEMS = 21_000
+
+
+def _row_chunks(col: Collocation, n_rows: int) -> list:
+    """Slices of vphi rows, as many per chunk (at least one) as fit
+    _CHUNK_ELEMS at the largest side count of a theta block, 2 n_theta.
+    The chunks depend on the collocation alone, so a target is summed in
+    the same order whatever other targets share its block."""
+    step = max(1, _CHUNK_ELEMS // (len(col.eta_nodes) * 2 * col.n_theta))
+    return [slice(a, a + step) for a in range(0, n_rows, step)]
 
 
 def _angle_tables(col: Collocation, thetas: np.ndarray):
@@ -179,6 +215,13 @@ def _angle_tables(col: Collocation, thetas: np.ndarray):
     return np.cos(km[:, None, None] * angle), np.sin(km[:, None, None] * angle), np.exp(1j * angle)
 
 
+def _mirrored(col: Collocation, P: np.ndarray) -> np.ndarray:
+    """Interpolation rows acting on the equatorial half coefficients:
+    ``Perturbation.from_half`` mirrors them, so column n gathers the
+    grid columns n and N - 1 - n."""
+    return P[:, : col.half] + P[:, ::-1][:, : col.half]
+
+
 def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """r(phi_i, theta_j) with f_k interpolated barycentrically at phi_i
     (an exact one-hot row at a grid node), shape (len(phis), len(thetas))."""
@@ -188,28 +231,72 @@ def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarr
     return col.kctx.profile.r0(phis)[:, None] + np.einsum("kt,kj->tj", f.coeffs @ P.T, modes)
 
 
-def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray, R: np.ndarray, partials: bool = False):
     """I(f) at the boundary targets (phis[i], thetas[j]) of radii R,
-    shape (len(phis), len(thetas)).  Per phi target, blocks of at most
-    n_theta theta targets and both eta half-ranges are batched into one
-    tensor contraction, so no temporary outgrows the collocation grid's."""
+    shape (len(phis), len(thetas)).
+
+    Per phi target, blocks of at most n_theta theta targets and both eta
+    half-ranges form the sides of one (vphi, eta, side) tensor, which is
+    walked in chunks of vphi rows (``_row_chunks``) so that every
+    temporary stays cache-sized.  With ``partials`` the same chunks also
+    give the two partials of I, returned after it:
+
+    * source: dI/dhalf[k, n], shape (len(phis), len(thetas), n_modes,
+      half), for the mirrored coefficients of ``Perturbation.from_half``;
+      dK/drup is contracted with the cos(k m angle) table and the
+      mirrored interpolation rows (``_mirrored``);
+    * target radius: dI/drho, shape (len(phis), len(thetas)), through
+      c = rho cos(eta) and q = rho^2 sin^2(eta) + (cos phi - cos vphi)^2.
+    """
     blocks = [slice(b, b + col.n_theta) for b in range(0, len(thetas), col.n_theta)]
     ang_cos = [_angle_tables(col, thetas[blk])[0] for blk in blocks]
     cos_e = np.cos(col.eta_nodes)
     sin_e = np.sin(col.eta_nodes)
     out = np.empty(R.shape)
+    if partials:
+        d_src = np.empty(R.shape + (col.n_modes, col.half))
+        d_rho = np.empty(R.shape)
     for i, phi in enumerate(phis):
         geom = col.geometry(phi)
         Fk = f.coeffs @ geom["P"].T
-        wsin = geom["wsin"]
+        r0q = geom["r0q"]
+        dcos2 = geom["dcos"] ** 2
+        W = geom["wsin"][:, None] * col.eta_w[None, :]            # (n_vphi, n_eta)
+        if partials:
+            WP = geom["wsin"][:, None] * _mirrored(col, geom["P"])
+            Wc = W * cos_e[None, :]
+            Ws = W * sin_e[None, :] ** 2
         for blk, tab in zip(blocks, ang_cos):
             rho = np.repeat(R[i, blk], 2)                          # (n_sides,)
             cs = rho[None, :] * cos_e[:, None]                     # (n_eta, n_sides)
-            q = (rho[None, :] * sin_e[:, None]) ** 2 + geom["dcos"][:, None, None] ** 2
-            rup = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", Fk, tab)
-            K = _radial_closed_form(rup, cs[None, :, :], q)
-            acc = np.einsum("p,e,pes->s", wsin, col.eta_w, K)
+            rs2 = (rho[None, :] * sin_e[:, None]) ** 2
+            n_sides = len(rho)
+            acc = np.zeros(n_sides)
+            if partials:
+                # H[n, (eta, side)]: vphi sums of wsin P_mirrored dK/drup;
+                # tc, tq: (vphi, eta) sums of W cos(eta) dK/dc, W sin^2(eta) dK/dq
+                H = np.zeros((col.half, cs.size))
+                tc = np.zeros(n_sides)
+                tq = np.zeros(n_sides)
+            for sl in _row_chunks(col, len(r0q)):
+                q = rs2[None, :, :] + dcos2[sl, None, None]
+                rup = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], tab)
+                if not partials:
+                    K = _radial_closed_form(rup, cs[None, :, :], q)
+                else:
+                    K, d_rup, d_c, d_q = _radial_closed_form(rup, cs[None, :, :], q, partials=True)
+                    H += WP[sl].T @ d_rup.reshape(len(d_rup), -1)
+                    tc += Wc[sl].ravel() @ d_c.reshape(-1, n_sides)
+                    tq += Ws[sl].ravel() @ d_q.reshape(-1, n_sides)
+                acc += np.einsum("pe,pes->s", W[sl], K)
             out[i, blk] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
+            if partials:
+                G = np.einsum("e,kes,nes->skn", col.eta_w, tab, H.reshape(col.half, *cs.shape))
+                d_src[i, blk] = -(G[0::2] + G[1::2]) / (4.0 * np.pi)
+                t = tc + 2.0 * rho * tq
+                d_rho[i, blk] = -(t[0::2] + t[1::2]) / (4.0 * np.pi)
+    if partials:
+        return out, d_src, d_rho
     return out
 
 
@@ -286,7 +373,8 @@ def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float,
 def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) -> np.ndarray:
     """Horizontal boundary velocity (U1 + i U2) on the collocation
     targets via the surface integral
-    (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist."""
+    (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist, walked in
+    the chunks of vphi rows that ``_stream`` uses."""
     km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
     ang_cos, ang_sin, exp_eta = _angle_tables(col, col.theta)
     cos_e = np.cos(col.eta_nodes)
@@ -294,16 +382,22 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
     out = np.empty((col.half, col.n_theta), dtype=complex)
     for t in range(col.half):
         geom = col.geometry(col.kctx.nodes[t])
-        r0q, dcos = geom["r0q"], geom["dcos"]
+        r0q = geom["r0q"]
+        dcos2 = geom["dcos"] ** 2
         Fk = f.coeffs @ geom["P"].T
-        wsin = geom["wsin"]
+        W = geom["wsin"][:, None] * col.eta_w[None, :]
         rho = np.repeat(r_targets[t], 2)
-        r = r0q[:, None, None] + np.einsum("kp,kes->pes", Fk, ang_cos)
-        dr = -np.einsum("kp,k,kes->pes", Fk, km, ang_sin)
-        d2 = (r - rho[None, None, :] * cos_e[None, :, None]) ** 2 \
-            + (rho[None, None, :] * sin_e[None, :, None]) ** 2 + dcos[:, None, None] ** 2
-        integrand = (dr + 1j * r) * exp_eta[None, :, :] / np.sqrt(d2)
-        acc = np.einsum("p,e,pes->s", wsin, col.eta_w, integrand)
+        cs = rho[None, :] * cos_e[:, None]
+        rs2 = (rho[None, :] * sin_e[:, None]) ** 2
+        y_dr = np.zeros(cs.shape)
+        y_r = np.zeros(cs.shape)
+        for sl in _row_chunks(col, len(r0q)):
+            r = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], ang_cos)
+            dr = -np.einsum("kp,k,kes->pes", Fk[:, sl], km, ang_sin)
+            inv = 1.0 / np.sqrt((r - cs[None, :, :]) ** 2 + rs2[None, :, :] + dcos2[sl, None, None])
+            y_dr += np.einsum("pe,pes->es", W[sl], dr * inv)
+            y_r += np.einsum("pe,pes->es", W[sl], r * inv)
+        acc = np.sum((y_dr + 1j * y_r) * exp_eta, axis=0)
         out[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
     return out
 
@@ -419,14 +513,29 @@ def _omega_column(col: Collocation, u: np.ndarray) -> np.ndarray:
     return np.concatenate([dmodes.ravel(), [0.0]])
 
 
-def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray, base: np.ndarray) -> np.ndarray:
-    n = len(u)
-    J = np.empty((n, n))
-    for c in range(n - 1):
-        step = FD_STEP * (1.0 + abs(u[c]))
-        up = u.copy()
-        up[c] += step
-        J[:, c] = (_residual(col, up, s, hstar) - base) / step
+def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of ``_residual`` at u, from the partials of I that
+    ``_stream`` returns.  The target radius R[i, j] = r0(phi_i) +
+    sum_k f_k(phi_i) cos(k m theta_j) moves with the coefficients, so
+    d bracket = dI_src + (dI/drho - Omega R) dR; the theta-mean
+    subtraction, the division by r0 and the mode projection are linear.
+    The amplitude row pairs f_1 with h* (mirrored like the coefficients),
+    and the Omega column is ``_omega_column``."""
+    half, omega = _unpack(col, u)
+    f = Perturbation.from_half(col, half)
+    phis = col.kctx.nodes[: col.half]
+    R = _radii(col, f, phis, col.theta)
+    _, d_src, d_rho = _stream(col, f, phis, col.theta, R, partials=True)
+    Pt = _mirrored(col, interp_matrix(col.kctx.nodes, col.kctx.bary, phis))
+    dR = col.cos_ktheta.T[None, :, :, None] * Pt[:, None, None, :]      # (phi, theta, k, n)
+    d_bracket = d_src + (d_rho - omega * R)[:, :, None, None] * dR
+    d_samples = (d_bracket - d_bracket.mean(axis=1, keepdims=True)) / col.kctx.r0v[: col.half, None, None, None]
+    d_modes = (2.0 / col.n_theta) * np.einsum("tjkn,lj->ltkn", d_samples, col.cos_ktheta)
+    n = col.n_modes * col.half
+    J = np.zeros((n + 1, n + 1))
+    J[:n, :n] = d_modes.reshape(n, n)
+    hw = hstar * col.kctx.weights
+    J[n, : col.half] = _mirrored(col, hw[None, :])[0] / np.sum(hstar * hw)
     J[:, -1] = _omega_column(col, u)
     return J
 
@@ -439,26 +548,25 @@ def newton_correct(
     hstar: np.ndarray,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAXIT,
-    jac: np.ndarray | None = None,
 ):
     """Damped Newton solve of {Ftilde modes = 0, amplitude = s}.
 
-    The Jacobian is finite-difference in the shape coefficients and
-    analytic in Omega; it is reused across iterations (chord iteration)
-    and rebuilt when convergence stalls.  Returns (BranchPoint, jacobian)
-    so a continuation can carry the factorization forward.
+    Every iteration builds the exact Jacobian (``_jacobian``: the
+    partials of the stream contraction in the shape coefficients, the
+    analytic Omega column), takes the Newton step and halves it until the
+    residual max-norm falls, at most DAMP_MAX times.  Returns
+    (BranchPoint, jacobian), the Jacobian of the last iteration (None if
+    the initial guess already met ``tol``).
     """
     u = _pack(f_init.coeffs[:, : col.half], omega_init)
     res = _residual(col, u, s, hstar)
     rnorm = float(np.max(np.abs(res)))
     it = 0
-    rebuilt = jac is None
+    jac = None
     while rnorm > tol:
         if it >= max_iter:
             raise SolverError(f"newton_correct: no convergence in {max_iter} iterations (residual {rnorm:.3e})")
-        if jac is None:
-            jac = _jacobian(col, u, s, hstar, res)
-            rebuilt = True
+        jac = _jacobian(col, u, s, hstar)
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -474,16 +582,11 @@ def newton_correct(
                 break
             scale *= 0.5
         else:
-            if rebuilt:
-                raise SolverError("newton_correct: line search failed with a fresh Jacobian")
-            jac = None  # stale chord matrix: rebuild and retry
-            continue
+            raise SolverError(f"newton_correct: line search failed (residual {rnorm:.3e})")
         u = u + scale * delta
         res = new_res
         rnorm = float(np.max(np.abs(res)))
         it += 1
-        if rnorm > tol and it >= REFRESH_AFTER and not rebuilt:
-            jac = None
     half, omega = _unpack(col, u)
     f = Perturbation.from_half(col, half)
     return BranchPoint(float(s), omega, f, rnorm, it), jac
@@ -509,7 +612,6 @@ def continue_branch(
     hstar = np.asarray(bp.eigfun, dtype=float)
     s_grid = s_max * np.arange(1, steps + 1) / steps
     points: list[BranchPoint] = []
-    jac = None
     for k, s in enumerate(s_grid):
         if len(points) >= 2:
             p1, p0 = points[-1], points[-2]
@@ -526,10 +628,8 @@ def continue_branch(
             coeffs[0] = s * hstar
             f0 = Perturbation(col.m, coeffs, col.kctx)
             omega0 = bp.omega_m
-        if points and points[-1].iterations > 5:
-            jac = None  # previous point strained the chord matrix: rebuild here
         try:
-            point, jac = newton_correct(col, s, omega0, f0, hstar, jac=jac)
+            point, _ = newton_correct(col, s, omega0, f0, hstar)
         except (SolverError, GeometryError) as exc:
             return Branch(col.m, bp.omega_m, s_grid, points, failed_at=k, message=str(exc))
         points.append(point)

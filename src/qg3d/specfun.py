@@ -261,12 +261,14 @@ class _FnTable:
     """Per-n coefficients and a-priori term counts of the two branches."""
 
     ser: np.ndarray       # series coefficients (a)_k^2 / ((2a)_k k!), double
+    dser: np.ndarray      # derivative series coefficients (k + 1) ser_{k+1}, double
     cc: np.ndarray        # connection coefficients e_k, extended
     cd: np.ndarray        # e_k d_k, extended
     pref: np.longdouble   # Gamma(2a) / Gamma(a)^2
     u_switch: float
     x_edges: np.ndarray   # series bucket upper edges in x
     x_terms: tuple        # series terms per bucket
+    dx_terms: tuple       # derivative series terms per bucket
     u_edges: np.ndarray   # endpoint bucket upper edges in u
     u_terms: tuple        # endpoint terms per bucket
 
@@ -309,7 +311,11 @@ def _fn_tables(n: int) -> _FnTable:
     largest, and are absolute; F_n >= 1 turns them into relative ones.
     Series (double): successive terms ser_k x^k have ratio
     x (a+k)^2 / ((2a+k)(k+1)), at most x max(that factor, 1) from k on,
-    and the tail is held below _SERIES_EXIT.  Endpoint (extended): terms
+    and the tail is held below _SERIES_EXIT.  The derivative series
+    sum_k (k+1) ser_{k+1} x^k has its own counts: its term ratios
+    x (a+k+1)^2 / ((2a+k+1)(k+1)) exceed x and decrease in k, so its tail
+    decays more slowly than F_n's; it is held below _SERIES_EXIT times
+    the first term a/2, a lower bound of F_n'.  Endpoint (extended): terms
     e_k u^k (|d_k| + |ln u|) have ratio at most u ((a+k)/(k+1))^2, since
     |d_k| decreases and u^k |ln u| increases in u for u < 1/e; the tail
     is held below _ENDPOINT_EXIT / pref.
@@ -324,15 +330,20 @@ def _fn_tables(n: int) -> _FnTable:
     # Coefficients are generated until the last bucket's tail is bounded;
     # a bucket's term count is the first K at which its own bound holds.
     a = _LD(n) + _LD(0.5)
-    ser, x_terms = [_LD(1.0)], [0] * len(x_edges)
+    ser, x_terms, dx_terms = [_LD(1.0)], [0] * len(x_edges), [0] * len(x_edges)
+    d_tol = _SERIES_EXIT * float(a) / 2
     k = 0
-    while not x_terms[-1]:
+    while not (x_terms[-1] and dx_terms[-1]):
         fac = (a + k) ** 2 / ((2 * a + k) * (k + 1))
+        ser.append(ser[k] * fac)
+        d_fac = float((a + k + 1) ** 2 / ((2 * a + k + 1) * (k + 1)))
         for j, xe in enumerate(x_edges):
             if k > 0 and not x_terms[j] and _tail_within(float(ser[k]) * xe ** k, xe * max(float(fac), 1.0), _SERIES_EXIT):
                 x_terms[j] = k
-        ser.append(ser[k] * fac)
+            if k > 0 and not dx_terms[j] and _tail_within(float((k + 1) * ser[k + 1]) * xe ** k, xe * d_fac, d_tol):
+                dx_terms[j] = k
         k += 1
+    dser = np.array([(j + 1) * ser[j + 1] for j in range(k)], dtype=float)
     ser = np.array(ser, dtype=float)
 
     # endpoint: e_k = (N_k / D_k)^2 and d_k = 4 ln 2 + P_k / Q_k exactly
@@ -363,7 +374,7 @@ def _fn_tables(n: int) -> _FnTable:
     else:
         raise AccuracyError(f"f_n_many: endpoint tail of F_{n} unbounded within {MAX_SERIES_TERMS} terms")
     cc, cd = np.array(cc, dtype=_LD), np.array(cd, dtype=_LD)
-    tab = _FnTable(ser, cc, cd, pref, u_switch, x_edges, tuple(x_terms), u_edges, tuple(u_terms))
+    tab = _FnTable(ser, dser, cc, cd, pref, u_switch, x_edges, tuple(x_terms), tuple(dx_terms), u_edges, tuple(u_terms))
     _FN_CACHE[n] = tab
     return tab
 
@@ -437,9 +448,11 @@ def f_n(n: int, x: float) -> float:
 def f_n_prime(n: int, x: float) -> float:
     """Derivative F_n'(x) = ((n+1/2)^2/(2n+1)) 2F1(n+3/2, n+3/2; 2n+2; x).
 
-    Above the switch point the connection expansion of F_n is
-    differentiated termwise instead (the shifted parameter set has
-    c - a - b = -1, for which no clean connection formula is coded).
+    Below the switch point it is the termwise derivative of F_n's power
+    series, a Horner sum to the derivative's own term count for x's
+    bucket.  Above it the connection expansion of F_n is differentiated
+    termwise instead (the shifted parameter set has c - a - b = -1, for
+    which no clean connection formula is coded).
     """
     if n < 1:
         raise DomainError(f"f_n_prime: n must be >= 1, got {n}")
@@ -447,9 +460,10 @@ def f_n_prime(n: int, x: float) -> float:
     if x < 0.0 or x >= 1.0:
         raise DomainError(f"f_n_prime: argument x={x} outside [0, 1)")
     tab = _fn_tables(n)
-    a = n + 0.5
     if 1.0 - x >= tab.u_switch:
-        return a * a / (2 * n + 1.0) * _series_2f1(n + 1.5, n + 1.5, 2 * n + 2.0, x, MAX_SERIES_TERMS)[0]
+        xs = np.array([x])
+        j, _ = next(_by_bucket(xs, tab.x_edges))
+        return float(_horner(tab.dser, tab.dx_terms[j], xs)[0])
     # d/dx F_n(1-u) = pref * [B/u + ln(u) B' - A'],  A = sum e_k d_k u^k, B = sum e_k u^k,
     # each summed to the term count of u's bucket
     u = np.array([max(_LD(1.0) - _LD(x), _LD(1e-300))])

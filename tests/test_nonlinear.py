@@ -1,13 +1,24 @@
 """Nonlinear functional, symmetry structure, axis velocity, branch solver."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qg3d as q
 from qg3d.errors import DomainError, GeometryError
+from qg3d import nonlinear
 from qg3d.nonlinear import (
     Perturbation,
+    _angle_tables,
     _axis_velocity_grid,
+    _jacobian,
+    _pack,
+    _radial_closed_form,
+    _radii,
+    _residual,
+    _stream,
+    _velocity_batch,
     f_tilde_circle,
     newton_correct,
 )
@@ -248,3 +259,103 @@ class TestNewtonAndBranch:
         for pt in branch.points:
             pair = np.sum(pt.f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
             assert pair == pytest.approx(pt.s, abs=2e-8)
+
+
+class TestExactJacobian:
+    """The analytic Newton Jacobian and the chunked (vphi, eta, side) walk."""
+
+    @staticmethod
+    def central_jacobian(col, u, hstar, step=1e-5):
+        J = np.empty((len(u), len(u)))
+        for c in range(len(u)):
+            up, um = u.copy(), u.copy()
+            up[c] += step
+            um[c] -= step
+            J[:, c] = (_residual(col, up, 0.0, hstar) - _residual(col, um, 0.0, hstar)) / (2.0 * step)
+        return J
+
+    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
+    def test_matches_central_differences(self, profile, n_nodes, n_modes):
+        name, _, a = profile.partition(":")
+        prof = q.make_profile(name, a=float(a)) if a else q.make_profile(name)
+        col = q.Collocation(q.KernelContext(prof, n_nodes, 7, 3), m=2, n_modes=n_modes)
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        f = random_perturbation(col, 5)
+        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        J = _jacobian(col, u, 0.0, bp.eigfun)
+        ref = self.central_jacobian(col, u, bp.eigfun)
+        for c in range(len(u)):
+            assert np.max(np.abs(J[:, c] - ref[:, c])) <= 1e-6 * np.max(np.abs(ref[:, c]))
+
+    def test_bifurcation_kernel_and_mode_blocks(self, col_sphere_m2):
+        # at f = 0 the linearization is diagonal in the modes, and at
+        # Omega_m its k = 1 block annihilates h*_m: exact, not FD, oracles
+        col = col_sphere_m2
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), 0.0, bp.eigfun)
+        blocks = J[:-1, :-1].reshape(col.n_modes, col.half, col.n_modes, col.half)
+        J11 = blocks[0, :, 0, :]
+        h = bp.eigfun[: col.half]
+        assert np.linalg.norm(J11 @ h) <= 1e-10 * np.linalg.norm(J11, 2) * np.linalg.norm(h)
+        for row in range(col.n_modes):
+            for column in range(col.n_modes):
+                if row != column:
+                    assert np.max(np.abs(blocks[row, :, column, :])) <= 1e-12 * np.max(np.abs(J))
+
+    @staticmethod
+    def exact_sides(geom, col, values):
+        """sum over (vphi, eta) of the weighted values per side, summed
+        exactly (math.fsum): a plain whole-tensor einsum sums
+        sequentially and is itself off by ~1e-14 relative here."""
+        prod = (geom["wsin"][:, None] * col.eta_w[None, :])[:, :, None] * values
+        return np.array([math.fsum(prod[:, :, s].ravel()) for s in range(prod.shape[2])])
+
+    @staticmethod
+    def use_chunk_rows(col, monkeypatch, rows):
+        # 12 rows is the default chunk here; 150 leaves a remainder chunk of
+        # ~60 rows that carries real weight (the last rows of a rule sit
+        # near vphi = pi, where sin(vphi) and the weights vanish)
+        monkeypatch.setattr(nonlinear, "_CHUNK_ELEMS", rows * len(col.eta_nodes) * 2 * col.n_theta)
+        for phi in col.kctx.nodes[: col.half]:
+            assert len(col.geometry(phi)["wsin"]) % rows != 0
+
+    @pytest.mark.parametrize("rows", [12, 150])
+    def test_chunked_stream_matches_whole_tensor(self, col_sphere_m2, monkeypatch, rows):
+        col = col_sphere_m2
+        self.use_chunk_rows(col, monkeypatch, rows)
+        f = random_perturbation(col, 7)
+        phis = col.kctx.nodes[: col.half]
+        R = _radii(col, f, phis, col.theta)
+        cos_tab = _angle_tables(col, col.theta)[0]
+        ref = np.empty(R.shape)
+        for i, phi in enumerate(phis):
+            geom = col.geometry(phi)
+            rho = np.repeat(R[i], 2)
+            c = rho[None, :] * np.cos(col.eta_nodes)[:, None]
+            qq = (rho[None, :] * np.sin(col.eta_nodes)[:, None]) ** 2 + geom["dcos"][:, None, None] ** 2
+            rup = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", f.coeffs @ geom["P"].T, cos_tab)
+            acc = self.exact_sides(geom, col, _radial_closed_form(rup, c[None], qq))
+            ref[i] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
+        assert np.max(np.abs(_stream(col, f, phis, col.theta, R) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rows", [12, 150])
+    def test_chunked_velocity_matches_whole_tensor(self, col_sphere_m2, monkeypatch, rows):
+        col = col_sphere_m2
+        self.use_chunk_rows(col, monkeypatch, rows)
+        f = random_perturbation(col, 8)
+        R = f.radius_at_nodes(col.theta)[: col.half]
+        cos_tab, sin_tab, exp_eta = _angle_tables(col, col.theta)
+        km = np.arange(1, col.n_modes + 1) * col.m
+        ref = np.empty(R.shape, dtype=complex)
+        for t in range(col.half):
+            geom = col.geometry(col.kctx.nodes[t])
+            Fk = f.coeffs @ geom["P"].T
+            rho = np.repeat(R[t], 2)
+            r = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", Fk, cos_tab)
+            dr = -np.einsum("kp,k,kes->pes", Fk, km, sin_tab)
+            d2 = (r - rho * np.cos(col.eta_nodes)[:, None]) ** 2 + (rho * np.sin(col.eta_nodes)[:, None]) ** 2 \
+                + geom["dcos"][:, None, None] ** 2
+            integrand = (dr + 1j * r) * exp_eta / np.sqrt(d2)
+            acc = self.exact_sides(geom, col, integrand.real) + 1j * self.exact_sides(geom, col, integrand.imag)
+            ref[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
+        assert np.max(np.abs(_velocity_batch(col, f, R) - ref)) <= 1e-14 * np.max(np.abs(ref))

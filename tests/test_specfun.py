@@ -253,6 +253,21 @@ class TestFnPrime:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_series_branch_against_mpmath(self, n):
+        # the derivative series has term counts of its own: F_n's counts
+        # do not bound its slower tail
+        import mpmath
+
+        mpmath.mp.dps = 40
+        tab = specfun._fn_tables(n)
+        a = mpmath.mpf(2 * n + 1) / 2
+        worst = 0.0
+        for x in np.linspace(0.0, 1.0 - tab.u_switch, 201)[1:-1]:
+            ref = a * a / (2 * n + 1) * mpmath.hyp2f1(a + 1, a + 1, 2 * n + 2, mpmath.mpf(float(x)))
+            worst = max(worst, abs(float((mpmath.mpf(f_n_prime(n, float(x))) - ref) / ref)))
+        assert worst <= 1e-15
+
 
 class TestRingIntegral:
     def test_beta_zero_orthogonality(self):
