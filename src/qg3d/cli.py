@@ -151,6 +151,9 @@ def cmd_dispersion(cfg: RunConfig, profile, outdir: Path) -> int:
 
 def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
     ctx = _context(cfg, profile)
+    # modes below 2 are left to find_bifurcation_point, which rejects them
+    # after the outputs of the modes listed before them are written
+    ctx.mode_b_matrices(m for m in cfg.modes if m >= 2)
     rows = []
     for m in cfg.modes:
         bp = spectral.find_bifurcation_point(ctx, m)
@@ -166,6 +169,8 @@ def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
 
 def cmd_eigenfun(cfg: RunConfig, profile, outdir: Path) -> int:
     ctx = _context(cfg, profile)
+    if cfg.omega is None:
+        ctx.mode_b_matrices(m for m in cfg.modes if m >= 2)
     reports = {}
     for m in cfg.modes:
         if cfg.omega is not None:

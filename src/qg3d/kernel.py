@@ -28,6 +28,10 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
 * Row integrals split the vphi range at the target node and use
   tanh-sinh rules on each side (the diagonal is a log singularity that
   plain Gauss weights cannot see).
+* The product-integration matrices B_n of several modes are built in
+  one walk over the rows (``KernelContext.mode_b_matrices``): each row's
+  split rule, its n-independent geometry and its Lagrange matrix are
+  formed once and applied to every mode.
 * The Nystrom matrix keeps plain kernel products off the diagonal --
   so its similarity-symmetrized form is symmetric to machine
   precision -- and lumps the remaining singular mass of the accurate
@@ -99,8 +103,14 @@ def _hn_values(p: Profile, n: int, phi, vphi, clamp: bool = True):
         raise DomainError("h_n: coincident pole arguments degenerate (R = 0)")
     if not clamp and np.any(one_minus <= 0.0):
         raise DomainError("h_n: coincident interior arguments (x = 1) are singular")
+    return _hn_chordal(n, np.sin(vphi), rp, rq, R, one_minus)
+
+
+def _hn_chordal(n: int, sin_v, rp, rq, R, one_minus):
+    """H_n from sin(vphi) and the :func:`_chordal` values, which do not
+    depend on n."""
     F = f_n_many(n, 1.0 - one_minus, one_minus)
-    return _cn(n) * np.sin(vphi) * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5)) * F
+    return _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5)) * F
 
 
 def h_n(p: Profile, n: int, phi, vphi):
@@ -163,26 +173,30 @@ class KernelContext:
         rule = split_de(0.0, np.pi, phi_t, self.de_level)
         return rule.nodes, rule.weights
 
-    def _row_blocks(self, n: int, targets: np.ndarray):
-        """Yield (first, bounds, t, wh) for consecutive blocks of at most
-        _ROW_BLOCK targets, with one H_n evaluation per block: t
-        concatenates the split tanh-sinh nodes of the block's targets, wh
-        holds the rule weights times H_n(target, t), and the row of target
-        first + r is t[bounds[r]:bounds[r + 1]]."""
+    def _row_blocks(self, ns, targets: np.ndarray):
+        """Yield (first, bounds, t, whs) for consecutive blocks of at most
+        _ROW_BLOCK targets: t concatenates the split tanh-sinh nodes of the
+        block's targets, whs[k] holds the rule weights times
+        H_{ns[k]}(target, t), one H_n evaluation per mode on geometry shared
+        by all modes, and the row of target first + r is
+        t[bounds[r]:bounds[r + 1]]."""
         for first in range(0, len(targets), _ROW_BLOCK):
             block = targets[first:first + _ROW_BLOCK]
             rules = [self.row_rule(pt) for pt in block]
             sizes = [len(t) for t, _ in rules]
             t = np.concatenate([t for t, _ in rules])
             w = np.concatenate([w for _, w in rules])
-            wh = w * _hn_values(self.profile, n, np.repeat(block, sizes), t)
-            yield first, np.cumsum([0, *sizes]), t, wh
+            geo = _chordal(self.profile, np.repeat(block, sizes), t)
+            sin_t = np.sin(t)
+            whs = [w * _hn_chordal(n, sin_t, *geo) for n in ns]
+            del geo, sin_t  # freed before the next block's are built: peak memory
+            yield first, np.cumsum([0, *sizes]), t, whs
 
     def _row_integrals(self, n: int, targets: np.ndarray) -> np.ndarray:
         """int_0^pi H_n(phi, .) at each target phi (split tanh-sinh rows),
         each row summed pairwise like np.sum."""
         out = np.empty(len(targets))
-        for first, bounds, _, wh in self._row_blocks(n, targets):
+        for first, bounds, _, (wh,) in self._row_blocks([n], targets):
             out[first:first + len(bounds) - 1] = np.add.reduceat(wh, bounds[:-1])
         return out
 
@@ -197,19 +211,28 @@ class KernelContext:
         self._cache[key] = tab
         return tab
 
-    def mode_b_matrix(self, n: int) -> np.ndarray:
-        """Cached product-integration matrix B with
-        (B h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node samples h
-        (split tanh-sinh rows against the barycentric Lagrange basis)."""
-        key = ("B", n)
-        B = self._cache.get(key)
-        if B is None:
-            B = np.empty((self.n_nodes, self.n_nodes))
-            for first, bounds, t, wh in self._row_blocks(n, self.nodes):
+    def mode_b_matrices(self, ns) -> list[np.ndarray]:
+        """Cached product-integration matrices B_n, one per entry of ``ns``,
+        with (B_n h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node
+        samples h (split tanh-sinh rows against the barycentric Lagrange
+        basis).  The missing ones are built in one walk over the rows: each
+        row's rule and Lagrange matrix serve every mode."""
+        ns = list(ns)
+        todo = [n for n in dict.fromkeys(ns) if ("B", n) not in self._cache]
+        if todo:
+            Bs = [np.empty((self.n_nodes, self.n_nodes)) for _ in todo]
+            for first, bounds, t, whs in self._row_blocks(todo, self.nodes):
                 for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                    B[first + r] = wh[lo:hi] @ interp_matrix(self.nodes, self.bary, t[lo:hi])
-            self._cache[key] = B
-        return B
+                    L = interp_matrix(self.nodes, self.bary, t[lo:hi])
+                    for B, wh in zip(Bs, whs):
+                        B[first + r] = wh[lo:hi] @ L
+                    del L  # freed before the next row's is built: peak memory
+            self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
+        return [self._cache[("B", n)] for n in ns]
+
+    def mode_b_matrix(self, n: int) -> np.ndarray:
+        """Cached product-integration matrix B_n (see :meth:`mode_b_matrices`)."""
+        return self.mode_b_matrices([n])[0]
 
     @property
     def nu0(self) -> np.ndarray:

@@ -169,15 +169,27 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 def interp_matrix(nodes: np.ndarray, bary_w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix L with L[p, j] = l_j(x_p), the Lagrange basis on ``nodes``
-    evaluated at the points ``x`` (second-form barycentric formula)."""
+    evaluated at the points ``x`` (second-form barycentric formula).
+
+    ``nodes`` must be strictly increasing with gaps above 2e-14, else
+    DomainError.  A point within 1e-14 of a node takes that node's unit
+    row; with such gaps it can be within 1e-14 of one node at most, the
+    nearer of its two neighbours, so only that node is tested and the
+    differences are divided in place.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if not np.all(np.diff(nodes) > 2e-14):
+        raise DomainError("interp_matrix: nodes must be strictly increasing with gaps above 2e-14")
     x = np.asarray(x, dtype=float)
-    diff = x[:, None] - nodes[None, :]
-    hit = np.abs(diff) < 1e-14
-    diff[hit] = 1.0
-    L = bary_w[None, :] / diff
+    L = x[:, None] - nodes[None, :]
+    rows = np.arange(len(x))
+    right = np.clip(np.searchsorted(nodes, x), 1, len(nodes) - 1)
+    near = right - (np.abs(L[rows, right - 1]) <= np.abs(L[rows, right]))
+    hit = np.flatnonzero(np.abs(L[rows, near]) < 1e-14)
+    near = near[hit]
+    L[hit, near] = 1.0
+    np.divide(bary_w, L, out=L)
     L /= L.sum(axis=1)[:, None]
-    rows_hit = hit.any(axis=1)
-    if rows_hit.any():
-        L[rows_hit] = 0.0
-        L[hit] = 1.0
+    L[hit] = 0.0
+    L[hit, near] = 1.0
     return L

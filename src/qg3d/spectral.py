@@ -241,6 +241,7 @@ def kernel_dimension_check(ctx: KernelContext, m: int, n_max: int, margin: float
         raise DomainError(f"kernel_dimension_check: m must be >= 2, got {m}")
     if n_max < m:
         raise DomainError(f"kernel_dimension_check: n_max must be >= m, got {n_max}")
+    ctx.mode_b_matrices(range(1, n_max + 1))
     bp = find_bifurcation_point(ctx, m)
     ok: dict[int, bool] = {}
     lam: dict[int, float] = {}

@@ -212,6 +212,27 @@ class TestRowBlocks:
             ref = wh @ interp_matrix(ctx.nodes, ctx.bary, t)
             assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @staticmethod
+    def _fresh(ctx):
+        return q.KernelContext(ctx.profile, ctx.n_nodes, ctx.de_level, ctx.direct_level)
+
+    def test_all_mode_walk_matches_per_mode_builds(self, ctx):
+        Bs = self._fresh(ctx).mode_b_matrices([2, 5, 3, 5])
+        assert len(Bs) == 4 and Bs[1] is Bs[3]
+        for n, B in zip([2, 5, 3], Bs):
+            assert np.array_equal(B, self._fresh(ctx).mode_b_matrix(n))
+
+    def test_all_mode_walk_cached(self, ctx):
+        fresh = self._fresh(ctx)
+        first = fresh.mode_b_matrices([2, 5, 3, 5])
+        again = fresh.mode_b_matrices([2, 5, 3, 5])
+        assert all(a is b for a, b in zip(first, again))
+        assert fresh.mode_b_matrix(3) is first[2]
+
+    def test_all_mode_walk_rejects_bad_mode(self, ctx):
+        with pytest.raises(DomainError):
+            ctx.mode_b_matrices([2, 0])
+
     def test_kappa(self, ctx):
         fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
         rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, fine])]

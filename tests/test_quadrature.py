@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qg3d as q
 from qg3d.errors import DomainError
 from qg3d.quadrature import (
     _de_reference,
@@ -158,3 +159,47 @@ class TestBarycentric:
         x = np.linspace(0.01, np.pi - 0.01, 101)
         L = interp_matrix(nodes, bw, x)
         assert np.max(np.abs(L @ np.sin(nodes) ** 2 - np.sin(x) ** 2)) < 1e-13
+
+    @staticmethod
+    def _full_mask(nodes, bary_w, x):
+        # the formula with full (points x nodes) hit masks that the
+        # nearest-node test replaced
+        diff = x[:, None] - nodes[None, :]
+        hit = np.abs(diff) < 1e-14
+        diff[hit] = 1.0
+        L = bary_w[None, :] / diff
+        L /= L.sum(axis=1)[:, None]
+        rows_hit = hit.any(axis=1)
+        if rows_hit.any():
+            L[rows_hit] = 0.0
+            L[hit] = 1.0
+        return L
+
+    @pytest.fixture
+    def ctx(self):
+        return q.KernelContext(q.make_profile("sphere"), 16, 4, 3)
+
+    def test_bitwise_full_mask_formula_on_row_rules(self, ctx):
+        for pt in ctx.nodes:
+            t, _ = ctx.row_rule(pt)
+            ref = self._full_mask(ctx.nodes, ctx.bary, t)
+            assert np.array_equal(interp_matrix(ctx.nodes, ctx.bary, t), ref)
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-15, -5e-15, 2e-14, -2e-14])
+    def test_bitwise_full_mask_formula_near_nodes(self, ctx, offset):
+        x = ctx.nodes + offset
+        L = interp_matrix(ctx.nodes, ctx.bary, x)
+        assert np.array_equal(L, self._full_mask(ctx.nodes, ctx.bary, x))
+        if abs(offset) < 1e-14:
+            assert np.array_equal(L, np.eye(16))
+
+    def test_bitwise_full_mask_formula_outside(self, ctx):
+        x = np.array([-1.0, 0.0, ctx.nodes[0] - 1e-3, ctx.nodes[-1] + 1e-3, np.pi, 4.0])
+        assert np.array_equal(interp_matrix(ctx.nodes, ctx.bary, x), self._full_mask(ctx.nodes, ctx.bary, x))
+
+    @pytest.mark.parametrize("gap", [0.0, 1.5e-14, -0.1])
+    def test_rejects_nodes_not_increasing_by_more_than_2e_14(self, gap):
+        nodes = np.array([0.1, 0.5, 0.5 + gap, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            interp_matrix(nodes, np.ones(5), np.array([0.3]))
+        interp_matrix(np.array([0.1, 0.5, 0.5 + 3e-14, 1.0, 2.0]), np.ones(5), np.array([0.3]))
