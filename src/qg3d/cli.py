@@ -151,9 +151,10 @@ def cmd_dispersion(cfg: RunConfig, profile, outdir: Path) -> int:
 
 def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
     ctx = _context(cfg, profile)
-    # modes below 2 are left to find_bifurcation_point, which rejects them
-    # after the outputs of the modes listed before them are written
-    ctx.mode_b_matrices(m for m in cfg.modes if m >= 2)
+    # one walk builds B_1 (for nu0) and every B_m; modes below 1 are left to
+    # the solvers, which reject them after the outputs of the modes listed
+    # before them are written
+    ctx.mode_b_matrices([1, *(m for m in cfg.modes if m >= 1)])
     rows = []
     for m in cfg.modes:
         bp = spectral.find_bifurcation_point(ctx, m)
@@ -169,8 +170,7 @@ def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
 
 def cmd_eigenfun(cfg: RunConfig, profile, outdir: Path) -> int:
     ctx = _context(cfg, profile)
-    if cfg.omega is None:
-        ctx.mode_b_matrices(m for m in cfg.modes if m >= 2)
+    ctx.mode_b_matrices([1, *(m for m in cfg.modes if m >= 1)])
     reports = {}
     for m in cfg.modes:
         if cfg.omega is not None:

@@ -1,4 +1,5 @@
-"""Geometric kernels, the coefficient function nu, and Nystrom assembly.
+"""Geometric kernels, the coefficient function nu, and product-integration
+assembly.
 
 For a profile r0 the mode-n kernel is
 
@@ -28,14 +29,13 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
 * Row integrals split the vphi range at the target node and use
   tanh-sinh rules on each side (the diagonal is a log singularity that
   plain Gauss weights cannot see).
-* The product-integration matrices B_n of several modes are built in
-  one walk over the rows (``KernelContext.mode_b_matrices``): each row's
-  split rule, its n-independent geometry and its Lagrange matrix are
-  formed once and applied to every mode.
-* The Nystrom matrix keeps plain kernel products off the diagonal --
-  so its similarity-symmetrized form is symmetric to machine
-  precision -- and lumps the remaining singular mass of the accurate
-  row integral into the diagonal entry.
+* The product-integration matrix B_n (split tanh-sinh rows against the
+  barycentric Lagrange basis) is the one discretization of every mode:
+  K_n^Omega is diag(1/nu) B_n, nu0 is the row sums of B_1 (the basis
+  sums to one), and the B_n of several modes are built in one walk over
+  the rows (``KernelContext.mode_b_matrices``): each row's split rule,
+  its n-independent geometry and its Lagrange matrix are formed once and
+  applied to every mode.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ __all__ = [
 # all 96 rows of the default grid raised peak memory by 22 MB, and blocks
 # of 8 by 1.7 MB, for no measurable gain in speed over 4.
 _ROW_BLOCK = 4
+# Row nodes per Lagrange matrix in the B_n walk.  With a whole row's
+# matrix (about 1700 x 96 at de_level 7) the dispersion benchmark peaked
+# at 35.4 MB, with chunks of 1024 at 35.0 MB and with 512 or 256 at
+# 34.4 MB; the walk's time did not move measurably.
+_LAGRANGE_CHUNK = 512
 
 
 def _cn(n: int) -> float:
@@ -118,14 +123,6 @@ def h_n(p: Profile, n: int, phi, vphi):
     if n < 1:
         raise DomainError(f"h_n: n must be >= 1, got {n}")
     return _hn_values(p, n, phi, vphi, clamp=False)
-
-
-def _wsym_values(p: Profile, n: int, phi, vphi):
-    """Symmetric core W(phi, vphi) = H_n(phi, vphi) / (sin(vphi) r0^2(vphi)),
-    evaluated in a manifestly symmetric way (bitwise W_ij = W_ji)."""
-    rp, rq, R, one_minus = _chordal(p, phi, vphi)
-    F = f_n_many(n, 1.0 - one_minus, one_minus)
-    return _cn(n) * (rp * rq) ** (n - 1) * R ** (-(n + 0.5)) * F
 
 
 @dataclass(eq=False)
@@ -192,41 +189,37 @@ class KernelContext:
             del geo, sin_t  # freed before the next block's are built: peak memory
             yield first, np.cumsum([0, *sizes]), t, whs
 
-    def _row_integrals(self, n: int, targets: np.ndarray) -> np.ndarray:
-        """int_0^pi H_n(phi, .) at each target phi (split tanh-sinh rows),
-        each row summed pairwise like np.sum."""
-        out = np.empty(len(targets))
-        for first, bounds, _, (wh,) in self._row_blocks([n], targets):
-            out[first:first + len(bounds) - 1] = np.add.reduceat(wh, bounds[:-1])
-        return out
-
     def mode_tables(self, n: int):
-        """Cached (W_sym node matrix, accurate row integrals) for mode n."""
+        """Cached (B_n, row integrals int_0^pi H_n(phi_i, .)) for mode n;
+        the row integrals are the row sums of B_n, because the Lagrange
+        basis sums to one, and are read-only."""
         key = ("mode", n)
-        tab = self._cache.get(key)
-        if tab is not None:
-            return tab
-        W = _wsym_values(self.profile, n, self.nodes[:, None], self.nodes[None, :])
-        tab = (W, self._row_integrals(n, self.nodes))
-        self._cache[key] = tab
-        return tab
+        if key not in self._cache:
+            B = self.mode_b_matrix(n)
+            rowint = B.sum(axis=1)
+            rowint.flags.writeable = False
+            self._cache[key] = (B, rowint)
+        return self._cache[key]
 
     def mode_b_matrices(self, ns) -> list[np.ndarray]:
         """Cached product-integration matrices B_n, one per entry of ``ns``,
         with (B_n h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node
         samples h (split tanh-sinh rows against the barycentric Lagrange
         basis).  The missing ones are built in one walk over the rows: each
-        row's rule and Lagrange matrix serve every mode."""
+        row's rule and Lagrange matrix serve every mode, the latter built
+        _LAGRANGE_CHUNK row nodes at a time."""
         ns = list(ns)
         todo = [n for n in dict.fromkeys(ns) if ("B", n) not in self._cache]
         if todo:
-            Bs = [np.empty((self.n_nodes, self.n_nodes)) for _ in todo]
+            Bs = [np.zeros((self.n_nodes, self.n_nodes)) for _ in todo]
             for first, bounds, t, whs in self._row_blocks(todo, self.nodes):
                 for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                    L = interp_matrix(self.nodes, self.bary, t[lo:hi])
-                    for B, wh in zip(Bs, whs):
-                        B[first + r] = wh[lo:hi] @ L
-                    del L  # freed before the next row's is built: peak memory
+                    for c in range(lo, hi, _LAGRANGE_CHUNK):
+                        sl = slice(c, min(c + _LAGRANGE_CHUNK, hi))
+                        L = interp_matrix(self.nodes, self.bary, t[sl])
+                        for B, wh in zip(Bs, whs):
+                            B[first + r] += wh[sl] @ L
+                        del L  # freed before the next chunk's is built: peak memory
             self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
         return [self._cache[("B", n)] for n in ns]
 
@@ -236,17 +229,17 @@ class KernelContext:
 
     @property
     def nu0(self) -> np.ndarray:
-        """Row integrals int_0^pi H_1(phi_i, .) at the grid nodes."""
-        if "nu0" not in self._cache:
-            self._cache["nu0"] = self.mode_tables(1)[1].copy()
-        return self._cache["nu0"]
+        """Row integrals int_0^pi H_1(phi_i, .) at the grid nodes (read-only)."""
+        return self.mode_tables(1)[1]
 
     @property
     def kappa(self) -> float:
-        """Infimum of int H_1(phi, .) over a refined phi sample."""
+        """Infimum of int H_1(phi, .) over the grid nodes and a refined phi
+        sample, whose rows are summed directly from their split rules."""
         if "kappa" not in self._cache:
             fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * self.n_nodes)[0])
-            k = float(min(np.min(self.nu0), np.min(self._row_integrals(1, fine))))
+            rows = [np.add.reduceat(wh, bounds[:-1]) for _, bounds, _, (wh,) in self._row_blocks([1], fine)]
+            k = float(min(np.min(self.nu0), np.min(np.concatenate(rows))))
             if k <= 0.0:
                 raise AccuracyError(f"kappa: computed non-positive infimum {k}")
             self._cache["kappa"] = k
@@ -281,14 +274,17 @@ def kappa(ctx: KernelContext) -> float:
 
 @dataclass(eq=False)
 class KernelMatrix:
-    """Nystrom discretization of K_n^Omega on the context grid.
+    """Product-integration discretization of K_n^Omega on the context grid.
 
-    ``entries`` maps node samples of h to node samples of K_n h; its
-    off-diagonal entries are the plain products K_n(phi_i, phi_j) mu_j w_j
-    and each diagonal entry carries the singular remainder of the
-    tanh-sinh row integral.  ``sym_entries`` is the similarity transform
-    D^{1/2} M D^{-1/2} with D = diag(mu_j w_j), symmetric because the
-    plain products inherit the exact symmetry of the kernel.
+    ``entries`` = diag(1/nu) B_n maps node samples of h to node samples
+    of K_n h.  ``sym_entries`` symmetrizes S = D^{1/2} M D^{-1/2},
+    D = diag(mu_w), by averaging each pair (S_ij, S_ji) with the weights
+    (mu_w_j, mu_w_i) of their Lagrange columns:
+
+        sym_entries_ij = sqrt(mu_w_i mu_w_j) (M_ij + M_ji) / (mu_w_i + mu_w_j),
+
+    bitwise symmetric by construction and equal to S wherever S is
+    already symmetric.
     """
 
     n: int
@@ -297,13 +293,12 @@ class KernelMatrix:
     sym_entries: np.ndarray
     nu: np.ndarray
     mu_w: np.ndarray
-    raw_offdiag: np.ndarray
 
 
 def assemble_kernel_matrix(
     ctx: KernelContext, n: int, omega: float, strip_nu: bool = False
 ) -> KernelMatrix:
-    """Assemble the mode-n Nystrom matrix at angular velocity omega.
+    """Assemble the mode-n matrix at angular velocity omega.
 
     ``strip_nu`` assembles the Omega-independent variant with nu replaced
     by 1 in both the kernel and the measure (its dominant eigenvalue is
@@ -311,7 +306,7 @@ def assemble_kernel_matrix(
     """
     if n < 1:
         raise DomainError(f"assemble_kernel_matrix: n must be >= 1, got {n}")
-    W, rowint = ctx.mode_tables(n)
+    B, _ = ctx.mode_tables(n)
     if strip_nu:
         nu_vals = np.ones(ctx.n_nodes)
     else:
@@ -321,24 +316,10 @@ def assemble_kernel_matrix(
                 f"= {ctx.omega_limit} (measure would lose positivity)"
             )
         nu_vals = ctx.nu0 - omega
-    mw = ctx.mv * ctx.weights
-    off = W * mw[None, :]                      # H_n(phi_i, phi_j) w_j
-    np.fill_diagonal(off, 0.0)                 # clamped coincident value is meaningless
-    M = off / nu_vals[:, None]
-    raw_offdiag = M.copy()
-    diag = (rowint - off.sum(axis=1)) / nu_vals
-    M[np.arange(ctx.n_nodes), np.arange(ctx.n_nodes)] = diag
-    d = np.sqrt(mw * nu_vals)
-    S = d[:, None] * M / d[None, :]
-    return KernelMatrix(
-        n=n,
-        omega=float(omega),
-        entries=M,
-        sym_entries=S,
-        nu=nu_vals,
-        mu_w=mw * nu_vals,
-        raw_offdiag=raw_offdiag,
-    )
+    M = B / nu_vals[:, None]
+    mu_w = ctx.mv * ctx.weights * nu_vals
+    S = np.sqrt(np.outer(mu_w, mu_w)) * (M + M.T) / np.add.outer(mu_w, mu_w)
+    return KernelMatrix(n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w)
 
 
 def row_apply(ctx: KernelContext, n: int, h: np.ndarray) -> np.ndarray:

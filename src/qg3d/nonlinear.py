@@ -546,8 +546,6 @@ def newton_correct(
     omega_init: float,
     f_init: Perturbation,
     hstar: np.ndarray,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAXIT,
 ):
     """Damped Newton solve of {Ftilde modes = 0, amplitude = s}.
 
@@ -556,16 +554,16 @@ def newton_correct(
     analytic Omega column), takes the Newton step and halves it until the
     residual max-norm falls, at most DAMP_MAX times.  Returns
     (BranchPoint, jacobian), the Jacobian of the last iteration (None if
-    the initial guess already met ``tol``).
+    the initial guess already met NEWTON_TOL).
     """
     u = _pack(f_init.coeffs[:, : col.half], omega_init)
     res = _residual(col, u, s, hstar)
     rnorm = float(np.max(np.abs(res)))
     it = 0
     jac = None
-    while rnorm > tol:
-        if it >= max_iter:
-            raise SolverError(f"newton_correct: no convergence in {max_iter} iterations (residual {rnorm:.3e})")
+    while rnorm > NEWTON_TOL:
+        if it >= NEWTON_MAXIT:
+            raise SolverError(f"newton_correct: no convergence in {NEWTON_MAXIT} iterations (residual {rnorm:.3e})")
         jac = _jacobian(col, u, s, hstar)
         try:
             delta = np.linalg.solve(jac, -res)

@@ -34,10 +34,6 @@ __all__ = [
     "interp_matrix",
 ]
 
-GAUSS_PANEL = "gauss_panel"
-DOUBLE_EXPONENTIAL = "double_exponential"
-PERIODIC_TRAPEZOID = "periodic_trapezoid"
-
 # tanh-sinh truncation: keep nodes while exp(-2u) >= ~1e-26 so that even
 # an x^(-1/2) endpoint singularity loses less than ~1e-12 to the cut tail.
 _DE_UMAX = 30.0
@@ -45,20 +41,14 @@ _DE_UMAX = 30.0
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights of a one-dimensional rule on [a, b]."""
+    """Nodes and weights of a one-dimensional rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    a: float
-    b: float
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise DomainError("QuadratureRule: nodes and weights must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def gauss_panel(order: int, a: float, b: float, panels: int = 1) -> QuadratureRule:
@@ -77,7 +67,7 @@ def gauss_panel(order: int, a: float, b: float, panels: int = 1) -> QuadratureRu
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes.append(mid + half * x0)
         weights.append(half * w0)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), GAUSS_PANEL, a, b)
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 @functools.cache
@@ -118,7 +108,7 @@ def double_exponential(a: float, b: float, level: int) -> QuadratureRule:
     nodes = np.concatenate([left, [0.5 * (a + b)], right])
     weights = half * np.concatenate([w[:0:-1], w[:1], w[1:]])
     keep = (nodes > a) & (nodes < b)
-    return QuadratureRule(nodes[keep], weights[keep], DOUBLE_EXPONENTIAL, a, b)
+    return QuadratureRule(nodes[keep], weights[keep])
 
 
 def periodic_trapezoid(n_nodes: int) -> QuadratureRule:
@@ -127,7 +117,7 @@ def periodic_trapezoid(n_nodes: int) -> QuadratureRule:
         raise DomainError(f"periodic_trapezoid: n_nodes must be >= 2, got {n_nodes}")
     nodes = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     weights = np.full(n_nodes, 2.0 * np.pi / n_nodes)
-    return QuadratureRule(nodes, weights, PERIODIC_TRAPEZOID, 0.0, 2.0 * np.pi)
+    return QuadratureRule(nodes, weights)
 
 
 def split_de(a: float, b: float, singular_at: float, level: int) -> QuadratureRule:
@@ -140,11 +130,7 @@ def split_de(a: float, b: float, singular_at: float, level: int) -> QuadratureRu
     left = double_exponential(a, singular_at, level)
     right = double_exponential(singular_at, b, level)
     return QuadratureRule(
-        np.concatenate([left.nodes, right.nodes]),
-        np.concatenate([left.weights, right.weights]),
-        DOUBLE_EXPONENTIAL,
-        a,
-        b,
+        np.concatenate([left.nodes, right.nodes]), np.concatenate([left.weights, right.weights])
     )
 
 

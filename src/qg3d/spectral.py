@@ -1,14 +1,14 @@
 """Dispersion relation, bifurcation points and spectral verifications.
 
 The dispersion relation is the map Omega -> lambda_n(Omega), the largest
-eigenvalue of the symmetrized Nystrom matrix of K_n^Omega, found by power
-iteration.  It is strictly positive, simple (positive kernel), strictly
-decreasing in n and strictly increasing in Omega, so the mode-m
-bifurcation point Omega_m is the unique root of lambda_m(Omega) = 1.
-On the product-integration matrix B_m that root is an eigenvalue:
-B h = (nu0 - Omega) h says lambda = 1 with eigenfunction h, so Omega_m is
-the leftmost eigenvalue of diag(nu0) - B_m, taken from one dense
-eigensolve together with its eigenfunction.
+eigenvalue of K_n^Omega = diag(1/nu) B_n, found by power iteration on its
+measure-weighted symmetrization (``KernelMatrix.sym_entries``).  It is
+strictly positive, simple (positive kernel), strictly decreasing in n
+and strictly increasing in Omega, so the mode-m bifurcation point
+Omega_m is the unique root of lambda_m(Omega) = 1.  On B_m that root is
+an eigenvalue: B h = (nu0 - Omega) h says lambda = 1 with eigenfunction
+h, so Omega_m is the leftmost eigenvalue of diag(nu0) - B_m, taken from
+one dense eigensolve together with its eigenfunction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DomainError, SolverError
-from .kernel import KernelContext, KernelMatrix, _wsym_values, assemble_kernel_matrix, row_apply
+from .kernel import KernelContext, KernelMatrix, _hn_values, assemble_kernel_matrix, row_apply
 from .quadrature import interp_matrix
 
 __all__ = [
@@ -85,10 +85,10 @@ class BoundaryReport:
 def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     """Power iteration on the symmetrized matrix from the all-ones start.
 
-    The dominant eigenvalue is the spectral radius of a matrix with
-    positive off-diagonal entries and is simple, so the iteration
-    converges; the eigenvector is mapped back through D^{-1/2} and
-    normalized positive.
+    The operator's kernel is positive, so its largest eigenvalue is
+    simple and, on the discretization, well above the modulus of every
+    negative one; the iteration therefore converges to it.  The
+    eigenvector is mapped back through D^{-1/2} and normalized positive.
     """
     S = K.sym_entries
     size = S.shape[0]
@@ -133,15 +133,15 @@ def eigen_bounds(ctx: KernelContext, K: KernelMatrix, rho: np.ndarray) -> tuple[
     inner = row_apply(ctx, K.n, g)
     x = np.sqrt(ctx.sinv) * ctx.r0v * rho / np.sqrt(nu)
     lower = float(np.sum(ctx.weights * x * inner))
-    # rows of int K_n(phi_i, .)^2 dmu = int W^2 m(t) / (nu_i^2 nu(t)) dt
+    # rows of int K_n(phi_i, .)^2 dmu = int H_n^2 / (nu_i^2 m(t) nu(t)) dt
     total = 0.0
     for i, pt in enumerate(ctx.nodes):
         t, w = ctx.row_rule(pt)
-        W = _wsym_values(ctx.profile, K.n, pt, t)
+        H = _hn_values(ctx.profile, K.n, pt, t)
         L = interp_matrix(ctx.nodes, ctx.bary, t)
         m_t = np.sin(t) * ctx.profile.r0(t) ** 2
         nu_t = L @ nu
-        row = np.sum(w * W ** 2 * m_t / nu_t) / nu[i] ** 2
+        row = np.sum(w * H ** 2 / (m_t * nu_t)) / nu[i] ** 2
         total += ctx.weights[i] * ctx.mv[i] * nu[i] * row
     upper = float(np.sqrt(total))
     return lower, upper
@@ -152,6 +152,7 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid) -> DispersionCurve:
     monotonicity anomalies (decreasing in n, increasing in Omega) flagged."""
     n_list = list(n_list)
     omega_grid = list(omega_grid)
+    ctx.mode_b_matrices([1, *n_list])
     for om in omega_grid:
         if not om < ctx.omega_limit:
             raise DomainError(f"dispersion_scan: omega={om} not below kappa - guard={ctx.omega_limit}")
@@ -178,14 +179,15 @@ def _mu_normalized(v: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
 
 
 def refine_eigenvalue(ctx: KernelContext, K: KernelMatrix, res: SpectralResult) -> tuple[float, np.ndarray]:
-    """Re-solve a dominant eigenpair on the product-integration operator.
+    """Re-solve a dominant eigenpair on the unsymmetrized matrix.
 
-    The symmetrized Nystrom matrix carries an O(N^-3) eigenvalue bias
-    from the plain off-diagonal weights; the eigenpair of diag(1/nu) B
-    (B the tanh-sinh row-integral matrix) nearest to ``res.lam`` does not.
-    Returns (eigenvalue, mu-normalized positive eigenvector).
+    The eigenpair of ``K.entries`` = diag(1/nu) B_n nearest to
+    ``res.lam``, by one dense eigensolve: its right eigenvector keeps
+    the accuracy of B_n's columns at the poles, which the symmetrized
+    matrix's eigenvector does not.  Returns (eigenvalue, mu-normalized
+    positive eigenvector).
     """
-    vals, vecs = np.linalg.eig(ctx.mode_b_matrix(K.n) / K.nu[:, None])
+    vals, vecs = np.linalg.eig(K.entries)
     j = int(np.argmin(np.abs(vals - res.lam)))
     return float(vals[j].real), _mu_normalized(vecs[:, j].real, K.mu_w)
 
@@ -201,7 +203,7 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     """
     if m < 2:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
-    B = ctx.mode_b_matrix(m)
+    B = ctx.mode_b_matrices([1, m])[1]
     vals, vecs = np.linalg.eig(np.diag(ctx.nu0) - B)
     j = int(np.argmin(vals.real))
     omega_m = float(vals[j].real)
@@ -233,9 +235,9 @@ def eigenfunction_boundary_report(ctx: KernelContext, h: np.ndarray) -> Boundary
     return BoundaryReport(v0, vpi, float(np.max(h)))
 
 
-def kernel_dimension_check(ctx: KernelContext, m: int, n_max: int, margin: float = KERNEL_DIM_MARGIN):
-    """At Omega = Omega_m, verify lambda_n < 1 - margin for n > m and
-    lambda_n away from 1 for n < m.  Returns (per-n booleans, per-n
+def kernel_dimension_check(ctx: KernelContext, m: int, n_max: int):
+    """At Omega = Omega_m, verify lambda_n < 1 - KERNEL_DIM_MARGIN for
+    n > m and lambda_n away from 1 for n < m.  Returns (per-n booleans, per-n
     lambda values, Omega_m)."""
     if m < 2:
         raise DomainError(f"kernel_dimension_check: m must be >= 2, got {m}")
@@ -246,15 +248,14 @@ def kernel_dimension_check(ctx: KernelContext, m: int, n_max: int, margin: float
     ok: dict[int, bool] = {}
     lam: dict[int, float] = {}
     for n in range(1, n_max + 1):
-        K = assemble_kernel_matrix(ctx, n, bp.omega_m)
-        val, _ = refine_eigenvalue(ctx, K, largest_eigenvalue(K))
+        val = largest_eigenvalue(assemble_kernel_matrix(ctx, n, bp.omega_m)).lam
         lam[n] = val
         if n == m:
-            ok[n] = abs(val - 1.0) <= margin
+            ok[n] = abs(val - 1.0) <= KERNEL_DIM_MARGIN
         elif n > m:
-            ok[n] = val < 1.0 - margin
+            ok[n] = val < 1.0 - KERNEL_DIM_MARGIN
         else:
-            ok[n] = abs(val - 1.0) > margin
+            ok[n] = abs(val - 1.0) > KERNEL_DIM_MARGIN
     return ok, lam, bp.omega_m
 
 

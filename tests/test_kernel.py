@@ -128,9 +128,14 @@ class TestAssembly:
         assert np.max(np.abs(K.sym_entries - K.sym_entries.T)) <= 1e-10
 
     def test_offdiagonal_positive(self, ctx_sphere):
-        K = q.assemble_kernel_matrix(ctx_sphere, 2, 0.0)
-        off = K.raw_offdiag.copy()
-        assert np.min(off + np.eye(ctx_sphere.n_nodes)) > 0
+        x = ctx_sphere.nodes
+        H = _hn_values(ctx_sphere.profile, 2, x[:, None], x[None, :])
+        assert np.min(H[~np.eye(len(x), dtype=bool)]) > 0
+
+    @pytest.mark.parametrize("omega", [0.0, 0.2])
+    def test_symmetrized_bitwise(self, bumped_ctx, omega):
+        K = q.assemble_kernel_matrix(bumped_ctx, 3, omega)
+        assert np.array_equal(K.sym_entries, K.sym_entries.T)
 
     def test_row_integral_refinement(self, sphere):
         ctx = q.KernelContext(sphere, 48, 8, 3)
@@ -204,6 +209,13 @@ class TestRowBlocks:
         for n in (1, 3):
             ref = np.array([np.sum(self._row(ctx, n, pt)[1]) for pt in ctx.nodes])
             assert np.max(np.abs(ctx.mode_tables(n)[1] / ref - 1.0)) <= 1e-14
+
+    def test_mode_tables_share_b(self, ctx):
+        for n in (1, 3):
+            B, rowint = ctx.mode_tables(n)
+            assert B is ctx.mode_b_matrix(n)
+            assert np.array_equal(rowint, B.sum(axis=1))
+        assert ctx.mode_tables(1)[1] is ctx.nu0 and not ctx.nu0.flags.writeable
 
     def test_b_matrix_rows(self, ctx):
         B = ctx.mode_b_matrix(2)

@@ -90,6 +90,15 @@ class TestDispersionScan:
         lam = {row[1]: row[2] for row in curve.rows}
         assert lam[1.0 / 3.0 - 0.1] / lam[1.0 / 3.0 - 0.2] == pytest.approx(2.0, rel=1e-7)
 
+    def test_sphere_oracle(self, sphere):
+        # lambda_n(Omega) = 1/((2n+1)(1/3 - Omega)) on the sphere
+        ctx = q.KernelContext(sphere, 96, 7, 3)
+        omegas = [-2.0, -1.0, -0.5, 0.0, 0.15, 0.25]
+        curve = q.dispersion_scan(ctx, range(1, 9), omegas)
+        assert len(curve.rows) == 48
+        for n, om, lam, _, _ in curve.rows:
+            assert lam * (2 * n + 1) * (1.0 / 3.0 - om) == pytest.approx(1.0, rel=1e-11, abs=0)
+
     def test_single_point(self, ctx_sphere):
         curve = q.dispersion_scan(ctx_sphere, [2], [0.0])
         assert len(curve.rows) == 1
