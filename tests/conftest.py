@@ -35,6 +35,15 @@ def ctx_spheroid2(spheroid2):
 
 
 @pytest.fixture(scope="session")
+def asym_ctx():
+    """A profile that is not symmetric about the equator: every kernel row
+    is walked."""
+    phi = np.linspace(0.0, np.pi, 401)
+    prof = q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
+    return q.KernelContext(prof, 48, 8, 3)
+
+
+@pytest.fixture(scope="session")
 def col_sphere_m2(sphere):
     """Coarse nonlinear collocation for the sphere, m = 2."""
     kctx = q.KernelContext(sphere, 24, 7, 3)

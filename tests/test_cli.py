@@ -81,6 +81,12 @@ class TestDispersion:
         code, _ = run(tmp_path, "dispersion", "--profile", "sphere", *FAST, "--modes", "2", "--omega-grid", "0.4")
         assert code == 2
 
+    def test_bad_mode_named_exit_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "dispersion", "--profile", "sphere", *FAST, "--modes", "0,2", "--omega-grid", "0.0")
+        assert code == 2
+        assert "mode 0" in capsys.readouterr().err
+        assert not (out / "dispersion.csv").exists()
+
     def test_determinism(self, tmp_path):
         args = ["dispersion", "--profile", "sphere", *FAST, "--modes", "1,2", "--omega-grid=-0.5,0.1"]
         code1, out1 = run(tmp_path / "a", *args)

@@ -9,7 +9,7 @@ from scipy import special as sps
 
 import qg3d as q
 from qg3d.errors import DomainError
-from qg3d.kernel import _cn, _hn_values, row_apply
+from qg3d.kernel import _LAGRANGE_CHUNK, _cn, _hn_values, row_apply
 from qg3d.quadrature import interp_matrix
 
 
@@ -191,12 +191,18 @@ class TestDecayScan:
             q.hn_decay_scan(sphere, 1.0, 1.0, 4)
 
 
+def _walked(ctx):
+    """The rows the B_n walk computes; a mirrored context fills the rest
+    by the equatorial mirror."""
+    return ctx.n_nodes // 2 if ctx.mirrored else ctx.n_nodes
+
+
 class TestRowBlocks:
     """The blocked row loops equal the per-row loop they replaced: one
     row_rule and one H_n evaluation per target (clamped like the kernel,
     since the rules reach nodes where 1 - x rounds to 0)."""
 
-    @pytest.fixture(params=["ctx_sphere_small", "bumped_ctx"])
+    @pytest.fixture(params=["ctx_sphere_small", "bumped_ctx", "asym_ctx"])
     def ctx(self, request):
         return request.getfixturevalue(request.param)
 
@@ -206,9 +212,10 @@ class TestRowBlocks:
         return t, w * _hn_values(ctx.profile, n, pt, t)
 
     def test_mode_table_rows(self, ctx):
+        rows = _walked(ctx)
         for n in (1, 3):
-            ref = np.array([np.sum(self._row(ctx, n, pt)[1]) for pt in ctx.nodes])
-            assert np.max(np.abs(ctx.mode_tables(n)[1] / ref - 1.0)) <= 1e-14
+            ref = np.array([np.sum(self._row(ctx, n, pt)[1]) for pt in ctx.nodes[:rows]])
+            assert np.max(np.abs(ctx.mode_tables(n)[1][:rows] / ref - 1.0)) <= 1e-14
 
     def test_mode_tables_share_b(self, ctx):
         for n in (1, 3):
@@ -219,10 +226,15 @@ class TestRowBlocks:
 
     def test_b_matrix_rows(self, ctx):
         B = ctx.mode_b_matrix(2)
-        for i, pt in enumerate(ctx.nodes):
+        for i, pt in enumerate(ctx.nodes[:_walked(ctx)]):
             t, wh = self._row(ctx, 2, pt)
             ref = wh @ interp_matrix(ctx.nodes, ctx.bary, t)
             assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_b_matrix_mirror(self, ctx):
+        for n in (1, 2, 3):
+            B = ctx.mode_b_matrix(n)
+            assert np.array_equal(B, B[::-1, ::-1]) is ctx.mirrored
 
     @staticmethod
     def _fresh(ctx):
@@ -249,6 +261,58 @@ class TestRowBlocks:
         fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
         rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, fine])]
         assert q.kappa(ctx) == pytest.approx(min(rows), rel=1e-14)
+
+
+class TestEquatorialMirror:
+    """The half walk on profiles symmetric about the equator, and the full
+    walk, unchanged, on the others."""
+
+    @staticmethod
+    def _profile(name):
+        phi = np.linspace(0.0, np.pi, 401)
+        if name == "bumped":
+            return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.sin(phi) ** 2))
+        if name == "asym":
+            return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
+        kind, _, a = name.partition(":")
+        return q.make_profile(kind, a=float(a or 1.0))
+
+    @pytest.mark.parametrize(
+        "name,mirrored",
+        [("sphere", True), ("spheroid:0.5", True), ("spheroid:2", True), ("bumped", True), ("asym", False)],
+    )
+    def test_gate(self, name, mirrored):
+        assert q.KernelContext(self._profile(name), 16, 4, 3).mirrored is mirrored
+
+    @pytest.mark.parametrize("name", ["sphere", "spheroid:0.5", "bumped"])
+    def test_half_walk_matches_full_walk(self, name):
+        # the split rules at pi - phi_i mirror those at phi_i only to
+        # round-off; measured worst over B_1..B_8 at N = 96, de_level 7:
+        # 3.8e-13 (sphere), 5.0e-13 (spheroid:0.5), 3.6e-13 (bumped),
+        # relative to max|B_n|
+        half = q.KernelContext(self._profile(name), 96, 7, 3)
+        full = q.KernelContext(self._profile(name), 96, 7, 3)
+        full.mirrored = False
+        for Bh, Bf in zip(half.mode_b_matrices(range(1, 9)), full.mode_b_matrices(range(1, 9))):
+            assert np.max(np.abs(Bh - Bf)) <= 1e-12 * np.max(np.abs(Bf))
+
+    def test_asymmetric_bitwise_full_walk(self, asym_ctx):
+        # the per-row loop with the walk's chunking and reductions: an
+        # asymmetric profile must not be touched by the mirror at all
+        def row(pt, n):
+            t, w = asym_ctx.row_rule(pt)
+            return t, w * _hn_values(asym_ctx.profile, n, pt, t)
+
+        ref = np.zeros((asym_ctx.n_nodes, asym_ctx.n_nodes))
+        for i, pt in enumerate(asym_ctx.nodes):
+            t, wh = row(pt, 2)
+            for c in range(0, len(t), _LAGRANGE_CHUNK):
+                sl = slice(c, c + _LAGRANGE_CHUNK)
+                ref[i] += wh[sl] @ interp_matrix(asym_ctx.nodes, asym_ctx.bary, t[sl])
+        assert np.array_equal(asym_ctx.mode_b_matrix(2), ref)
+        fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * asym_ctx.n_nodes)[0])
+        rows = [np.add.reduceat(row(pt, 1)[1], [0])[0] for pt in fine]
+        assert asym_ctx.kappa == min(np.min(asym_ctx.nu0), min(rows))
 
 
 class TestOmegaGuard:

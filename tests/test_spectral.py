@@ -161,6 +161,27 @@ class TestBifurcationPoints:
             q.find_bifurcation_point(ctx, 6)
 
 
+class TestEvenBlock:
+    """Omega_m from the even block of a centrosymmetric B_m, and from the
+    full matrix when the profile is not mirrored."""
+
+    @pytest.mark.parametrize("name", ["ctx_sphere_small", "ctx_spheroid_half"])
+    def test_matches_full_eigensolve(self, request, name):
+        ctx = request.getfixturevalue(name)
+        assert ctx.mirrored
+        for m in (2, 3, 4):
+            bp = q.find_bifurcation_point(ctx, m)
+            vals = np.linalg.eigvals(np.diag(ctx.nu0) - ctx.mode_b_matrix(m))
+            full = float(np.min(vals.real))
+            assert abs(bp.omega_m - full) <= 1e-14 * abs(full)
+            assert np.array_equal(bp.eigfun, bp.eigfun[::-1])
+
+    def test_asymmetric_full_eigensolve(self, asym_ctx):
+        assert not asym_ctx.mirrored
+        vals = np.linalg.eig(np.diag(asym_ctx.nu0) - asym_ctx.mode_b_matrix(2))[0]
+        assert q.find_bifurcation_point(asym_ctx, 2).omega_m == float(np.min(vals.real))
+
+
 class TestBoundaryReport:
     def test_dichotomy(self, sphere):
         ctx_c = q.KernelContext(sphere, 96, 9, 3)
