@@ -203,7 +203,7 @@ def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
     points_meta = []
     for i, pt in enumerate(branch.points):
         axis = nonlinear.velocity_on_axis(col, pt.f, cfg.axis_z)
-        vres = nonlinear.velocity_residual(col, pt.omega, pt.f)
+        vres = nonlinear.velocity_residual(col, pt.omega, pt.f, bracket=pt.bracket)
         points_meta.append(
             {
                 "s": pt.s,

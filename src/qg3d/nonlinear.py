@@ -28,7 +28,12 @@ Newton iteration on the square collocation system
 exact and rebuilt at every iteration: ``_stream`` differentiates the
 closed form in its upper limit (the source surface) and in the target
 radius, chunk by chunk, and the chain rule through the radii, the
-theta-mean subtraction and the mode projection is linear.
+theta-mean subtraction and the mode projection is linear.  The I of
+that partials pass is bitwise the plain pass's, so one pass gives an
+iterate both its residual and its Jacobian; the line search adds one
+plain pass per trial step.  Each converged point keeps the bracket
+I(f) - (Omega/2) r^2 of its accepted iterate, which the velocity-form
+check reuses instead of recomputing.
 """
 
 from __future__ import annotations
@@ -312,36 +317,58 @@ def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float)
     return float(_stream(col, f, phis, thetas, _radii(col, f, phis, thetas))[0, 0])
 
 
-def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas):
+def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, partials: bool = False):
     """(r, I(f) - (Omega/2) r^2) at the boundary targets (phis[i],
-    thetas[j]), each of shape (len(phis), len(thetas))."""
+    thetas[j]), each of shape (len(phis), len(thetas)).  With
+    ``partials`` the source and target-radius partials of I that
+    ``_stream`` returns follow, from the same pass."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r = _radii(col, f, phis, thetas)
     if np.min(r) <= 0.0:
         raise GeometryError("reconstructed radius is non-positive at a target")
-    return r, _stream(col, f, phis, thetas, r) - 0.5 * omega * r ** 2
+    if not partials:
+        return r, _stream(col, f, phis, thetas, r) - 0.5 * omega * r ** 2
+    I, d_src, d_rho = _stream(col, f, phis, thetas, r, partials=True)
+    return r, I - 0.5 * omega * r ** 2, d_src, d_rho
 
 
-def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
+def _theta_modes(col: Collocation, samples: np.ndarray) -> np.ndarray:
+    """cos(k m theta) coefficients, k = 1..n_modes, of samples on the
+    collocation theta targets (axis 1), shape (n_modes, half, ...)."""
+    return (2.0 / col.n_theta) * np.einsum("tj...,kj->kt...", samples, col.cos_ktheta)
+
+
+def _stationarity(col: Collocation, bracket: np.ndarray) -> np.ndarray:
+    """Ftilde from the bracket on the collocation grid (axis 0 phi,
+    axis 1 theta): the theta mean subtracted, divided by r0."""
+    scale = col.kctx.r0v[: col.half].reshape((-1,) + (1,) * (bracket.ndim - 1))
+    return (bracket - bracket.mean(axis=1, keepdims=True)) / scale
+
+
+def f_tilde(col: Collocation, omega: float, f: Perturbation | None, with_bracket: bool = False):
     """Ftilde(Omega, f) sampled on the collocation targets.
 
     The theta mean over the full period equals the mean over the cosine
     sample set (the sampling kills every retained nonzero mode exactly),
-    so the output has exactly vanishing discrete theta average.
+    so the output has exactly vanishing discrete theta average.  With
+    ``with_bracket`` it returns (samples, bracket), the stream bracket
+    I(f) - (Omega/2) r^2 on the same targets that the samples come from.
     """
     if f is None:
         f = Perturbation.zero(col)
     _, bracket = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
-    mean = bracket.mean(axis=1)
-    return (bracket - mean[:, None]) / col.kctx.r0v[: col.half, None]
+    samples = _stationarity(col, bracket)
+    return (samples, bracket) if with_bracket else samples
 
 
-def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
+def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None, with_bracket: bool = False):
     """cos(k m theta) coefficients of Ftilde, k = 1..n_modes, shape
-    (n_modes, half)."""
-    samples = f_tilde(col, omega, f)
-    return (2.0 / col.n_theta) * np.einsum("tj,kj->kt", samples, col.cos_ktheta)
+    (n_modes, half); with ``with_bracket``, (modes, bracket) as in
+    ``f_tilde``."""
+    samples, bracket = f_tilde(col, omega, f, with_bracket=True)
+    modes = _theta_modes(col, samples)
+    return (modes, bracket) if with_bracket else modes
 
 
 def f_tilde_circle(col: Collocation, omega: float, f: Perturbation | None, phi_t: float, n_samples: int = 64) -> np.ndarray:
@@ -402,20 +429,26 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
     return out
 
 
-def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) -> float:
+def velocity_residual(col: Collocation, omega: float, f: Perturbation | None, bracket: np.ndarray | None = None) -> float:
     """Defect of the velocity-form/stream-form equivalence on the grid.
 
     The velocity form Re[(U_h - i Omega r e^{i theta})
     (i d_theta r + r) e^{-i theta}] equals minus the theta derivative of
     the stream bracket for any shape; the returned number is the max-norm
-    of their sum, a pure quadrature-consistency measure.
+    of their sum, a pure quadrature-consistency measure.  A ``bracket``
+    already evaluated for (Omega, f) on the collocation grid, such as
+    ``BranchPoint.bracket``, is used as given instead of recomputed.
     """
     if f is None:
         f = Perturbation.zero(col)
-    R, bracket = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
+    phis = col.kctx.nodes[: col.half]
+    if bracket is None:
+        R, bracket = _bracket(col, omega, f, phis, col.theta)
+    else:
+        R = _radii(col, f, phis, col.theta)
     k = np.arange(1, col.n_modes + 1)
     km = (k * col.m).astype(float)
-    bmodes = (2.0 / col.n_theta) * np.einsum("tj,kj->kt", bracket, col.cos_ktheta)
+    bmodes = _theta_modes(col, bracket)
     dbracket = -np.einsum("kt,k,kj->tj", bmodes, km, col.sin_ktheta)
     U = _velocity_batch(col, f, R)
     dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.half], km, col.sin_ktheta)
@@ -466,6 +499,7 @@ class BranchPoint:
     f: Perturbation
     residual: float
     iterations: int
+    bracket: np.ndarray  # I(f) - (Omega/2) r^2 on the collocation grid
 
 
 @dataclass(frozen=True)
@@ -494,12 +528,19 @@ def _amplitude(col: Collocation, full_coeffs: np.ndarray, hstar: np.ndarray) -> 
     return float(np.sum(full_coeffs[0] * hstar * w) / np.sum(hstar * hstar * w))
 
 
-def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray) -> np.ndarray:
+def _system(col: Collocation, modes: np.ndarray, f: Perturbation, s: float, hstar: np.ndarray) -> np.ndarray:
+    """Residual of the square system: the Ftilde modes, then amplitude - s."""
+    return np.concatenate([modes.ravel(), [_amplitude(col, f.coeffs, hstar) - s]])
+
+
+def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray, with_bracket: bool = False):
+    """``_system`` at u; with ``with_bracket``, (residual, bracket) as in
+    ``f_tilde``."""
     half, omega = _unpack(col, u)
     f = Perturbation.from_half(col, half)
-    modes = f_tilde_modes(col, omega, f)
-    amp = _amplitude(col, f.coeffs, hstar) - s
-    return np.concatenate([modes.ravel(), [amp]])
+    modes, bracket = f_tilde_modes(col, omega, f, with_bracket=True)
+    res = _system(col, modes, f, s, hstar)
+    return (res, bracket) if with_bracket else res
 
 
 def _omega_column(col: Collocation, u: np.ndarray) -> np.ndarray:
@@ -508,36 +549,37 @@ def _omega_column(col: Collocation, u: np.ndarray) -> np.ndarray:
     half, _ = _unpack(col, u)
     f = Perturbation.from_half(col, half)
     R2 = f.radius_at_nodes(col.theta)[: col.half] ** 2
-    dsample = -(R2 - R2.mean(axis=1)[:, None]) / (2.0 * col.kctx.r0v[: col.half, None])
-    dmodes = (2.0 / col.n_theta) * np.einsum("tj,kj->kt", dsample, col.cos_ktheta)
+    dmodes = _theta_modes(col, _stationarity(col, -0.5 * R2))
     return np.concatenate([dmodes.ravel(), [0.0]])
 
 
-def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of ``_residual`` at u, from the partials of I that
-    ``_stream`` returns.  The target radius R[i, j] = r0(phi_i) +
+def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray, with_bracket: bool = False):
+    """(residual, J): ``_residual`` at u and its exact Jacobian, both from
+    one ``_stream`` pass with partials (its I is bitwise the plain
+    pass's).  The target radius R[i, j] = r0(phi_i) +
     sum_k f_k(phi_i) cos(k m theta_j) moves with the coefficients, so
     d bracket = dI_src + (dI/drho - Omega R) dR; the theta-mean
-    subtraction, the division by r0 and the mode projection are linear.
-    The amplitude row pairs f_1 with h* (mirrored like the coefficients),
-    and the Omega column is ``_omega_column``."""
+    subtraction, the division by r0 and the mode projection are linear
+    and shared with ``f_tilde_modes``.  The amplitude row pairs f_1 with
+    h* (mirrored like the coefficients), and the Omega column is
+    ``_omega_column``.  With ``with_bracket`` the bracket follows, as in
+    ``f_tilde``."""
     half, omega = _unpack(col, u)
     f = Perturbation.from_half(col, half)
     phis = col.kctx.nodes[: col.half]
-    R = _radii(col, f, phis, col.theta)
-    _, d_src, d_rho = _stream(col, f, phis, col.theta, R, partials=True)
+    R, bracket, d_src, d_rho = _bracket(col, omega, f, phis, col.theta, partials=True)
+    res = _system(col, _theta_modes(col, _stationarity(col, bracket)), f, s, hstar)
     Pt = _mirrored(col, interp_matrix(col.kctx.nodes, col.kctx.bary, phis))
     dR = col.cos_ktheta.T[None, :, :, None] * Pt[:, None, None, :]      # (phi, theta, k, n)
     d_bracket = d_src + (d_rho - omega * R)[:, :, None, None] * dR
-    d_samples = (d_bracket - d_bracket.mean(axis=1, keepdims=True)) / col.kctx.r0v[: col.half, None, None, None]
-    d_modes = (2.0 / col.n_theta) * np.einsum("tjkn,lj->ltkn", d_samples, col.cos_ktheta)
+    d_modes = _theta_modes(col, _stationarity(col, d_bracket))         # (l, phi, k, n)
     n = col.n_modes * col.half
     J = np.zeros((n + 1, n + 1))
     J[:n, :n] = d_modes.reshape(n, n)
     hw = hstar * col.kctx.weights
     J[n, : col.half] = _mirrored(col, hw[None, :])[0] / np.sum(hstar * hw)
     J[:, -1] = _omega_column(col, u)
-    return J
+    return (res, J, bracket) if with_bracket else (res, J)
 
 
 def newton_correct(
@@ -549,22 +591,27 @@ def newton_correct(
 ):
     """Damped Newton solve of {Ftilde modes = 0, amplitude = s}.
 
-    Every iteration builds the exact Jacobian (``_jacobian``: the
-    partials of the stream contraction in the shape coefficients, the
-    analytic Omega column), takes the Newton step and halves it until the
-    residual max-norm falls, at most DAMP_MAX times.  Returns
-    (BranchPoint, jacobian), the Jacobian of the last iteration (None if
-    the initial guess already met NEWTON_TOL).
+    One ``_stream`` pass with partials at the initial guess gives both
+    its residual and the exact Jacobian (``_jacobian``: the partials of
+    the stream contraction in the shape coefficients, the analytic Omega
+    column).  Each iteration takes the Newton step and halves it until
+    the residual max-norm falls, at most DAMP_MAX times; each trial is
+    one plain pass.  Only an accepted step that leaves the residual above
+    NEWTON_TOL is linearized again, so an iteration that converges costs
+    one partials pass and one plain pass.  Returns (BranchPoint,
+    jacobian): the point carries the bracket of its accepted iterate, and
+    the Jacobian is that of the last linearization, at the initial guess
+    if it already met NEWTON_TOL.
     """
     u = _pack(f_init.coeffs[:, : col.half], omega_init)
-    res = _residual(col, u, s, hstar)
+    res, jac, bracket = _jacobian(col, u, s, hstar, with_bracket=True)
     rnorm = float(np.max(np.abs(res)))
     it = 0
-    jac = None
     while rnorm > NEWTON_TOL:
         if it >= NEWTON_MAXIT:
             raise SolverError(f"newton_correct: no convergence in {NEWTON_MAXIT} iterations (residual {rnorm:.3e})")
-        jac = _jacobian(col, u, s, hstar)
+        if it:
+            jac = _jacobian(col, u, s, hstar)[1]
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -572,7 +619,7 @@ def newton_correct(
         scale = 1.0
         for _ in range(DAMP_MAX + 1):
             try:
-                new_res = _residual(col, u + scale * delta, s, hstar)
+                new_res, new_bracket = _residual(col, u + scale * delta, s, hstar, with_bracket=True)
             except GeometryError:
                 scale *= 0.5
                 continue
@@ -582,12 +629,12 @@ def newton_correct(
         else:
             raise SolverError(f"newton_correct: line search failed (residual {rnorm:.3e})")
         u = u + scale * delta
-        res = new_res
+        res, bracket = new_res, new_bracket
         rnorm = float(np.max(np.abs(res)))
         it += 1
     half, omega = _unpack(col, u)
     f = Perturbation.from_half(col, half)
-    return BranchPoint(float(s), omega, f, rnorm, it), jac
+    return BranchPoint(float(s), omega, f, rnorm, it, bracket), jac
 
 
 def continue_branch(

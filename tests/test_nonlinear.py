@@ -1,5 +1,6 @@
 """Nonlinear functional, symmetry structure, axis velocity, branch solver."""
 
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 import qg3d as q
 from qg3d.errors import DomainError, GeometryError
-from qg3d import nonlinear
+from qg3d import cli, nonlinear
 from qg3d.nonlinear import (
     Perturbation,
     _angle_tables,
     _axis_velocity_grid,
+    _bracket,
     _jacobian,
     _pack,
     _radial_closed_form,
@@ -282,7 +284,7 @@ class TestExactJacobian:
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
-        J = _jacobian(col, u, 0.0, bp.eigfun)
+        J = _jacobian(col, u, 0.0, bp.eigfun)[1]
         ref = self.central_jacobian(col, u, bp.eigfun)
         for c in range(len(u)):
             assert np.max(np.abs(J[:, c] - ref[:, c])) <= 1e-6 * np.max(np.abs(ref[:, c]))
@@ -292,7 +294,7 @@ class TestExactJacobian:
         # Omega_m its k = 1 block annihilates h*_m: exact, not FD, oracles
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
-        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), 0.0, bp.eigfun)
+        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), 0.0, bp.eigfun)[1]
         blocks = J[:-1, :-1].reshape(col.n_modes, col.half, col.n_modes, col.half)
         J11 = blocks[0, :, 0, :]
         h = bp.eigfun[: col.half]
@@ -359,3 +361,101 @@ class TestExactJacobian:
             acc = self.exact_sides(geom, col, integrand.real) + 1j * self.exact_sides(geom, col, integrand.imag)
             ref[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
         assert np.max(np.abs(_velocity_batch(col, f, R) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def collocation(profile, n_nodes, n_modes):
+    name, _, a = profile.partition(":")
+    prof = q.make_profile(name, a=float(a)) if a else q.make_profile(name)
+    return q.Collocation(q.KernelContext(prof, n_nodes, 7, 3), m=2, n_modes=n_modes)
+
+
+class TestOneStreamPass:
+    """Newton takes its residual from the Jacobian's stream pass, and the
+    velocity check reuses the bracket of the accepted iterate."""
+
+    @staticmethod
+    def count_streams(monkeypatch):
+        """Record the ``partials`` flag of every ``_stream`` call."""
+        calls = []
+        stream = nonlinear._stream
+
+        def counted(*args, partials=False, **kwargs):
+            calls.append(partials)
+            return stream(*args, partials=partials, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "_stream", counted)
+        return calls
+
+    @staticmethod
+    def tangent_point(col, s):
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
+        coeffs[0] = s * bp.eigfun
+        return bp, Perturbation(col.m, coeffs, col.kctx)
+
+    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
+    def test_jacobian_residual_is_bitwise_residual(self, profile, n_nodes, n_modes):
+        col = collocation(profile, n_nodes, n_modes)
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        f = random_perturbation(col, 5)
+        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        res, _ = _jacobian(col, u, 0.003, bp.eigfun)
+        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun))
+
+    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
+    def test_velocity_residual_reuses_bracket_bitwise(self, profile, n_nodes, n_modes):
+        col = collocation(profile, n_nodes, n_modes)
+        bp, f0 = self.tangent_point(col, 0.003)
+        pt, _ = newton_correct(col, 0.003, bp.omega_m, f0, bp.eigfun)
+        assert pt.iterations >= 1
+        _, bracket = _bracket(col, pt.omega, pt.f, col.kctx.nodes[: col.half], col.theta)
+        assert np.array_equal(pt.bracket, bracket)
+        reused = q.velocity_residual(col, pt.omega, pt.f, bracket=pt.bracket)
+        assert reused == q.velocity_residual(col, pt.omega, pt.f)
+
+    def test_jacobian_geometry_guard(self, col_sphere_m2):
+        # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
+        col = col_sphere_m2
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        half = np.zeros((col.n_modes, col.half))
+        half[0] = -2.0 * np.sin(col.kctx.nodes[: col.half])
+        with pytest.raises(GeometryError):
+            _jacobian(col, _pack(half, 0.1), 0.0, bp.eigfun)
+
+    def test_one_iteration_one_pass_each(self, monkeypatch):
+        col = collocation("sphere", 8, 4)
+        bp, f0 = self.tangent_point(col, 0.003)
+        calls = self.count_streams(monkeypatch)
+        pt, _ = newton_correct(col, 0.003, bp.omega_m, f0, bp.eigfun)
+        assert pt.iterations == 1
+        assert sorted(calls) == [False, True]
+
+    def test_zero_iterations_return_initial_jacobian(self, col_sphere_m2):
+        col = col_sphere_m2
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        u = _pack(np.zeros((col.n_modes, col.half)), bp.omega_m)
+        point, jac = newton_correct(col, 0.0, bp.omega_m, Perturbation.zero(col), bp.eigfun)
+        assert point.iterations == 0
+        assert np.array_equal(jac, _jacobian(col, u, 0.0, bp.eigfun)[1])
+
+    def test_cli_velocity_check_makes_no_stream_pass(self, tmp_path, monkeypatch):
+        calls = self.count_streams(monkeypatch)
+        inside = []
+        check = nonlinear.velocity_residual
+
+        def watched(*args, **kwargs):
+            start = len(calls)
+            out = check(*args, **kwargs)
+            inside.append(calls[start:])
+            return out
+
+        monkeypatch.setattr(nonlinear, "velocity_residual", watched)
+        code = cli.main([
+            "branch", "--profile", "sphere", "--phi-nodes", "8", "--de-level", "7", "--modes", "2",
+            "--s-max", "0.006", "--steps", "2", "--outdir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        points = json.loads((tmp_path / "out" / "branch.json").read_text())["points"]
+        assert len(points) == 2
+        assert all(pt["velocity_form_residual"] <= 1e-5 for pt in points)
+        assert inside == [[], []]
