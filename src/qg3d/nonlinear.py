@@ -94,6 +94,12 @@ class Collocation:
             raise DomainError(f"Collocation: m must be >= 2, got {self.m}")
         if self.n_modes < 1:
             raise DomainError(f"Collocation: n_modes must be >= 1, got {self.n_modes}")
+        if self.n_modes >= self.n_theta:
+            # cos(k m theta_j) vanishes at every sample for k = n_theta, and
+            # modes k and 2 n_theta - k alias: the square system is singular
+            raise DomainError(
+                f"Collocation: n_modes must be < n_theta, got n_modes={self.n_modes}, n_theta={self.n_theta}"
+            )
         N = self.kctx.n_nodes
         self.half = N // 2
         j = np.arange(self.n_theta)

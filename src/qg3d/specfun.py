@@ -5,26 +5,29 @@ Everything downstream of the kernel formulas rests on the family
     F_n(x) = 2F1(n + 1/2, n + 1/2; 2n + 1; x),   x in [0, 1),
 
 which belongs to the logarithmic class c = a + b: it diverges like
--ln(1 - x) at the right endpoint.  ``f_n_many`` evaluates it in two
-branches, split at u_switch = min(0.25, 14/(a*b)) in u = 1 - x (the
-split moves toward x = 1 as a*b grows; at a fixed 0.75 the endpoint
-expansion is badly conditioned once a = b >~ 8):
+-ln(1 - x) at the right endpoint.  ``f_n_many`` evaluates it in double
+precision in two branches, split at a per-n u_switch in u = 1 - x:
 
-* u >= u_switch: the power series in x (all terms positive, no
-  cancellation), in double precision;
+* u >= u_switch: Kummer's quadratic transformation (A&S 15.3.19),
+  F_n(x) = (2/(1+s))^(2n+1) 2F1(n+1/2, 1/2; n+1; w) with s = sqrt(u) and
+  w = (x/(1+s)^2)^2, a series with positive terms only;
 * u < u_switch: the connection expansion in u whose coefficients carry
-  digamma factors, pref * (sum e_k d_k u^k - ln u sum e_k u^k), with
-  both sums in extended precision because their difference cancels by
-  up to ~1e6 at n = 8.
+  digamma factors, pref * (sum e_k d_k u^k - ln u sum e_k u^k).  Its two
+  sums cancel more as u and n grow, so u_switch is the largest bucket
+  edge at which they cancel by at most a factor 10: 0.03 at n = 1, 2
+  down to 1e-3 at n = 7, 8.
 
 Both branches are Horner sums of a fixed length.  The points of a call
-are sorted into a few buckets by x (series) or u (endpoint), and each
+are sorted into a few buckets by w (Kummer) or u (endpoint), and each
 bucket has a term count fixed once per n in ``_fn_tables`` from an
 a-priori geometric bound on the truncated tail at the bucket's upper
-edge: below 1e-16 for the series and 1e-24 for the endpoint sums,
-relative to F_n >= 1.  A value therefore never depends on the other
-points of the call.  The endpoint coefficients are exact rationals
-rounded once to the working precision.
+edge, below 1e-16 relative to F_n.  A value therefore never depends on
+the other points of the call.  All coefficients are exact rationals
+rounded once to double.  Against mpmath, F_n and F_n' are good to about
+1e-15 relative for n <= 8 on the whole of [0, 1).
+
+Extended precision (``np.longdouble``) is left only in the logarithmic
+case of the general ``gauss_2f1``.
 
 The gamma function is the standard library's ``math.gamma`` behind a
 pole check; the digamma cores are implemented here (asymptotic series
@@ -53,9 +56,6 @@ __all__ = [
 
 _LD = np.longdouble
 _EULER = _LD("0.5772156649015328606065120900824024310422")
-# ln 2 and pi as integer ratios, exact to 47 and 49 decimals
-_LN2 = (69314718055994530941723212145817656807550013436, 10 ** 47)
-_PI = (31415926535897932384626433832795028841971693993751, 10 ** 49)
 
 MAX_SERIES_TERMS = 500
 _SERIES_EXIT = 1e-16
@@ -247,47 +247,40 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
 # fast path for the kernel family F_n
 # --------------------------------------------------------------------------
 
-# Upper edges of the point buckets: x for the series branch, u = 1 - x for
-# the endpoint branch.  Edges at or beyond the branch switch are dropped
-# and the switch itself closes the last bucket.
-_SERIES_X_EDGES = (0.01, 0.05, 0.25, 0.5)
-_ENDPOINT_U_EDGES = (1e-12, 1e-6, 1e-3, 1e-2, 0.05)
-# relative truncation error allowed in the extended-precision endpoint sum
-_ENDPOINT_EXIT = 1e-24
+# Upper edges of the point buckets: x for Kummer's form (its points are
+# bucketed by the w of these edges), u = 1 - x for the endpoint expansion.
+# The branch switch u_switch is one of the endpoint edges (see _fn_tables);
+# Kummer edges at or beyond 1 - u_switch are dropped and 1 - u_switch
+# closes the last Kummer bucket.
+_KUMMER_X_EDGES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.97, 0.99, 0.997, 0.999)
+_ENDPOINT_U_EDGES = (1e-12, 1e-6, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03)
+# Largest cancellation factor allowed in the double endpoint sum: the
+# absolute sum of its terms over the modulus of their sum.
+_MAX_CANCEL = 10.0
+# Guard on the Kummer term count.  It grows like 1 / sqrt(u_switch): n = 8
+# needs 268 terms (318 for the derivative), n = 12 491 and n = 30 8609.
+_MAX_KUMMER_TERMS = 20000
 
 
 @dataclass(frozen=True)
 class _FnTable:
     """Per-n coefficients and a-priori term counts of the two branches."""
 
-    ser: np.ndarray       # series coefficients (a)_k^2 / ((2a)_k k!), double
-    dser: np.ndarray      # derivative series coefficients (k + 1) ser_{k+1}, double
-    cc: np.ndarray        # connection coefficients e_k, extended
-    cd: np.ndarray        # e_k d_k, extended
-    pref: np.longdouble   # Gamma(2a) / Gamma(a)^2
-    u_switch: float
-    x_edges: np.ndarray   # series bucket upper edges in x
-    x_terms: tuple        # series terms per bucket
-    dx_terms: tuple       # derivative series terms per bucket
+    kum: np.ndarray       # Kummer coefficients g_k of 2F1(a, 1/2; a + 1/2; w)
+    dkum: np.ndarray      # derivative coefficients (k + 1) g_{k+1}
+    cc: np.ndarray        # endpoint coefficients e_k
+    cd: np.ndarray        # e_k d_k
+    pref: float           # Gamma(2a) / Gamma(a)^2
+    u_switch: float       # endpoint expansion for u < u_switch, Kummer's form above
+    x_edges: np.ndarray   # Kummer bucket upper edges in x
+    w_edges: np.ndarray   # the same edges in w
+    w_terms: tuple        # Kummer terms per bucket
+    dw_terms: tuple       # derivative terms per bucket
     u_edges: np.ndarray   # endpoint bucket upper edges in u
     u_terms: tuple        # endpoint terms per bucket
 
 
 _FN_CACHE: dict[int, _FnTable] = {}
-
-
-def _rounded(num: int, den: int):
-    """The rational num / den (den > 0), rounded once to the working
-    precision (64-bit significand, or 53 bits where _LD is double)."""
-    if num == 0:
-        return _LD(0)
-    mag = abs(num)
-    for shift in (64 - mag.bit_length() + den.bit_length(), 63 - mag.bit_length() + den.bit_length()):
-        top, bot = (mag << shift, den) if shift >= 0 else (mag, den << -shift)
-        m = (2 * top + bot) // (2 * bot)
-        if m <= 1 << 64:
-            break
-    return np.ldexp(_LD(m if num > 0 else -m), -shift)
 
 
 def _tail_within(term: float, rho: float, tol: float) -> bool:
@@ -297,72 +290,86 @@ def _tail_within(term: float, rho: float, tol: float) -> bool:
     return rho < 1 and term <= tol * (1 - rho)
 
 
+def _kummer(n: int, x: np.ndarray, u: np.ndarray):
+    """(P, q, w, s, hi) of Kummer's quadratic transformation (A&S 15.3.19)
+
+        F_n(x) = P G(w),   P = (2 / (1 + s))^(2n+1),   G = 2F1(a, 1/2; a + 1/2; w),
+
+    with s = sqrt(u), q = x / (1 + s)^2 = (1 - s) / (1 + s) and w = q^2.
+    q is taken from x, so nothing cancels at small x.  Above w = 1/2, w is
+    1 - v with v = 1 - w = 4s / (1 + s)^2 instead: G' grows like
+    1 / (1 - w), so there 1 - w must be accurate, and q^2 would carry
+    its ~2.5 ulp into it.  1 + s is carried as hi + lo: TwoSum of 1 and s
+    plus the root's correction (u - s^2) / (2s), where s^2 is exact by
+    Dekker's split.  A rounded 1 + s would reach P amplified 2n + 1 times.
+    """
+    s = np.sqrt(u)
+    c = 134217729.0 * s               # 2^27 + 1
+    sh = c - (c - s)
+    sl = s - sh
+    ss = s * s
+    ss_lo = ((sh * sh - ss) + 2.0 * sh * sl) + sl * sl
+    ds = ((u - ss) - ss_lo) / (2.0 * s)
+    hi = 1.0 + s
+    lo = (s - (hi - 1.0)) + ds
+    p = 2 * n + 1
+    rel = lo / hi
+    P = 2.0 ** p * hi ** -p * (1.0 - p * rel)
+    corr = (1.0 - 2.0 * rel) / (hi * hi)
+    q = x * corr
+    v = 4.0 * (s + ds) * corr
+    return P, q, np.where(v < 0.5, 1.0 - v, q * q), s, hi
+
+
 def _fn_tables(n: int) -> _FnTable:
     """Cached per-n tables: coefficients of both branches and, for every
     bucket, the number of terms that bounds the truncated tail.
 
-    The endpoint coefficients are exact rationals (ln 2 and pi enter as
-    47- and 49-digit ratios) rounded once to the working precision, so no
-    recurrence round-off reaches the endpoint sum, whose final
-    combination cancels by up to ~1e6 at n = 8.  With a = n + 1/2,
-    e_k = ((a)_k / k!)^2 and d_k = 4 ln 2 + 2 H_k - 4 sum_{j <= n+k} 1/(2j-1).
+    Endpoint expansion, with a = n + 1/2:
+    F_n = pref sum_k e_k u^k (d_k - ln u), e_k = ((a)_k / k!)^2 and
+    d_k = 4 ln 2 + 2 H_k - 4 sum_{j <= n+k} 1/(2j-1).  e_k and e_k d_k are
+    rounded once from exact rationals, with only 4 ln 2 - 4 sum_{j <= n}
+    1/(2j-1) entering as a double.  The final combination cancels, by a
+    factor that grows with u and n; u_switch is the largest endpoint edge
+    up to which that factor, taken at every edge, stays within _MAX_CANCEL.
+
+    Kummer's form: G has coefficients g_k = (a)_k (1/2)_k / ((a+1/2)_k k!),
+    rounded once from exact rationals, whose ratio
+    (a+k)(1/2+k) / ((a+1/2+k)(k+1)) is below 1, so all terms are positive
+    and the tail after K terms is at most g_K w^K / (1 - w).  Its
+    derivative G' = sum_k (k+1) g_{k+1} w^k has term ratios
+    w (a+k+1)(k+3/2) / ((a+k+3/2)(k+1)), above w but decreasing in k, and
+    its tail is held below _SERIES_EXIT times its first term g_1.
 
     Tail bounds are taken at the bucket's upper edge, where every term is
-    largest, and are absolute; F_n >= 1 turns them into relative ones.
-    Series (double): successive terms ser_k x^k have ratio
-    x (a+k)^2 / ((2a+k)(k+1)), at most x max(that factor, 1) from k on,
-    and the tail is held below _SERIES_EXIT.  The derivative series
-    sum_k (k+1) ser_{k+1} x^k has its own counts: its term ratios
-    x (a+k+1)^2 / ((2a+k+1)(k+1)) exceed x and decrease in k, so its tail
-    decays more slowly than F_n's; it is held below _SERIES_EXIT times
-    the first term a/2, a lower bound of F_n'.  Endpoint (extended): terms
-    e_k u^k (|d_k| + |ln u|) have ratio at most u ((a+k)/(k+1))^2, since
-    |d_k| decreases and u^k |ln u| increases in u for u < 1/e; the tail
-    is held below _ENDPOINT_EXIT / pref.
+    largest.  F_n >= 1 and G >= 1 make them relative: below _SERIES_EXIT
+    for both branches (endpoint terms e_k u^k (|d_k| + |ln u|) have ratio
+    at most u ((a+k)/(k+1))^2, since |d_k| decreases and u^k |ln u|
+    increases in u for u < 1/e; their tail is held below
+    _SERIES_EXIT / pref).
     """
     tab = _FN_CACHE.get(n)
     if tab is not None:
         return tab
-    u_switch = _log_case_switch(n + 0.5, n + 0.5)
-    x_edges = np.array([e for e in _SERIES_X_EDGES if e < 1.0 - u_switch] + [1.0 - u_switch])
-    u_edges = np.array([e for e in _ENDPOINT_U_EDGES if e < u_switch] + [u_switch])
+    a = n + 0.5
+    pref = 16 ** n * math.factorial(n) ** 2 / math.factorial(2 * n) / math.pi
+    tol = _SERIES_EXIT / pref
 
-    # Coefficients are generated until the last bucket's tail is bounded;
-    # a bucket's term count is the first K at which its own bound holds.
-    a = _LD(n) + _LD(0.5)
-    ser, x_terms, dx_terms = [_LD(1.0)], [0] * len(x_edges), [0] * len(x_edges)
-    d_tol = _SERIES_EXIT * float(a) / 2
-    k = 0
-    while not (x_terms[-1] and dx_terms[-1]):
-        fac = (a + k) ** 2 / ((2 * a + k) * (k + 1))
-        ser.append(ser[k] * fac)
-        d_fac = float((a + k + 1) ** 2 / ((2 * a + k + 1) * (k + 1)))
-        for j, xe in enumerate(x_edges):
-            if k > 0 and not x_terms[j] and _tail_within(float(ser[k]) * xe ** k, xe * max(float(fac), 1.0), _SERIES_EXIT):
-                x_terms[j] = k
-            if k > 0 and not dx_terms[j] and _tail_within(float((k + 1) * ser[k + 1]) * xe ** k, xe * d_fac, d_tol):
-                dx_terms[j] = k
-        k += 1
-    dser = np.array([(j + 1) * ser[j + 1] for j in range(k)], dtype=float)
-    ser = np.array(ser, dtype=float)
-
-    # endpoint: e_k = (N_k / D_k)^2 and d_k = 4 ln 2 + P_k / Q_k exactly
-    pi, pi_den = _PI
-    pref = _rounded(16 ** n * math.factorial(n) ** 2 * pi_den, math.factorial(2 * n) * pi)
-    tol = _ENDPOINT_EXIT / float(pref)
-    ln2, ln2_den = _LN2
+    # endpoint: e_k = (N / D)^2 and d_k = P / Q exactly, from the double d_0
+    ln2_num, ln2_den = (4 * math.log(2)).as_integer_ratio()
     odd = math.prod(range(1, 2 * n, 2))
+    S = 4 * sum(odd // (2 * j - 1) for j in range(1, n + 1))
+    P, Q = ((ln2_num * odd - S * ln2_den) / (ln2_den * odd)).as_integer_ratio()
+    edges = _ENDPOINT_U_EDGES
     N, D = 1, 1
-    P, Q = -4 * sum(odd // (2 * j - 1) for j in range(1, n + 1)), odd
-    cc, cd, u_terms = [], [], [0] * len(u_edges)
+    cc, cd, u_terms = [], [], [0] * len(edges)
     for k in range(MAX_SERIES_TERMS):
-        d_num, d_den = 4 * ln2 * Q + P * ln2_den, Q * ln2_den
-        cc.append(_rounded(N * N, D * D))
-        cd.append(_rounded(N * N * d_num, D * D * d_den))
-        d_k = abs(d_num / d_den)
-        for j, ue in enumerate(u_edges):
-            term = float(cc[k]) * ue ** k * (d_k - math.log(ue))
-            if k > 0 and not u_terms[j] and _tail_within(term, ue * ((n + 0.5 + k) / (k + 1)) ** 2, tol):
+        cc.append(N * N / (D * D))
+        cd.append(N * N * P / (D * D * Q))
+        d_k = abs(P / Q)
+        for j, ue in enumerate(edges):
+            term = cc[k] * ue ** k * (d_k - math.log(ue))
+            if k > 0 and not u_terms[j] and _tail_within(term, ue * ((a + k) / (k + 1)) ** 2, tol):
                 u_terms[j] = k
         if u_terms[-1]:
             break
@@ -373,8 +380,43 @@ def _fn_tables(n: int) -> _FnTable:
         P, Q = P // g, Q // g
     else:
         raise AccuracyError(f"f_n_many: endpoint tail of F_{n} unbounded within {MAX_SERIES_TERMS} terms")
-    cc, cd = np.array(cc, dtype=_LD), np.array(cd, dtype=_LD)
-    tab = _FnTable(ser, dser, cc, cd, pref, u_switch, x_edges, tuple(x_terms), tuple(dx_terms), u_edges, tuple(u_terms))
+    cc, cd = np.array(cc), np.array(cd)
+    n_ok = 0
+    for ue, terms in zip(edges, u_terms):
+        lu = math.log(ue)
+        pw = ue ** np.arange(terms)
+        if np.sum(pw * (np.abs(cd[:terms]) - lu * cc[:terms])) > _MAX_CANCEL * np.sum(pw * (cd[:terms] - lu * cc[:terms])):
+            break
+        n_ok += 1
+    if n_ok == 0:
+        raise AccuracyError(f"f_n_many: endpoint sum of F_{n} cancels beyond {_MAX_CANCEL} at u = {edges[0]}")
+    u_switch = edges[n_ok - 1]
+    u_edges, u_terms = np.array(edges[:n_ok]), tuple(u_terms[:n_ok])
+    cc, cd = cc[: max(u_terms)], cd[: max(u_terms)]
+
+    # Kummer: g_k = G_num / G_den, bounded at the w of each x edge
+    x_list = [e for e in _KUMMER_X_EDGES if e < 1.0 - u_switch]
+    x_edges = np.array(x_list + [1.0 - u_switch])
+    w_edges = _kummer(n, x_edges, np.array([1.0 - e for e in x_list] + [u_switch]))[2]
+    G_num, G_den = 1, 1
+    kum, w_terms, dw_terms = [1.0], [0] * len(w_edges), [0] * len(w_edges)
+    d_tol = _SERIES_EXIT * a / (2 * a + 1)           # g_1 = a / (2a + 1)
+    k = 0
+    while not (w_terms[-1] and dw_terms[-1]):
+        if k == _MAX_KUMMER_TERMS:
+            raise AccuracyError(f"f_n_many: Kummer tail of F_{n} unbounded within {_MAX_KUMMER_TERMS} terms")
+        G_num, G_den = G_num * (2 * n + 1 + 2 * k) * (2 * k + 1), G_den * (2 * n + 2 + 2 * k) * (2 * k + 2)
+        kum.append(G_num / G_den)
+        d_fac = (a + k + 1) * (k + 1.5) / ((a + k + 1.5) * (k + 1))
+        for j, we in enumerate(w_edges):
+            if k > 0 and not w_terms[j] and _tail_within(kum[k] * we ** k, we, _SERIES_EXIT):
+                w_terms[j] = k
+            if k > 0 and not dw_terms[j] and _tail_within((k + 1) * kum[k + 1] * we ** k, we * d_fac, d_tol):
+                dw_terms[j] = k
+        k += 1
+    dkum = np.array([(j + 1) * kum[j + 1] for j in range(k)])
+    kum = np.array(kum)
+    tab = _FnTable(kum, dkum, cc, cd, pref, u_switch, x_edges, w_edges, tuple(w_terms), tuple(dw_terms), u_edges, u_terms)
     _FN_CACHE[n] = tab
     return tab
 
@@ -405,10 +447,10 @@ def f_n_many(n: int, x: np.ndarray, one_minus: np.ndarray | None = None) -> np.n
     """Vectorized F_n(x) = 2F1(n+1/2, n+1/2; 2n+1; x) on 0 <= x < 1.
 
     ``one_minus`` optionally supplies 1 - x computed without cancellation
-    (the kernel assembles it from the chordal distance directly); it is
-    what the endpoint expansion actually consumes.  Every point is summed
-    with the term count of its bucket, so each value depends on that
-    point alone, never on the other points of the call.
+    (the kernel assembles it from the chordal distance directly); the
+    endpoint expansion and Kummer's sqrt(1 - x) consume it.  Every point
+    is summed with the term count of its bucket, so each value depends on
+    that point alone, never on the other points of the call.
     """
     if n < 1:
         raise DomainError(f"f_n_many: n must be >= 1, got {n}")
@@ -421,17 +463,16 @@ def f_n_many(n: int, x: np.ndarray, one_minus: np.ndarray | None = None) -> np.n
         u_all = np.ravel(np.asarray(one_minus, dtype=float))
     tab = _fn_tables(n)
     out = np.empty_like(x)
-    ser_at = np.flatnonzero(u_all >= tab.u_switch)
-    xs = x[ser_at]
-    for j, pos in _by_bucket(xs, tab.x_edges):
-        out[ser_at[pos]] = _horner(tab.ser, tab.x_terms[j], xs[pos])
+    kum_at = np.flatnonzero(u_all >= tab.u_switch)
+    P, _, w, _, _ = _kummer(n, x[kum_at], u_all[kum_at])
+    for j, pos in _by_bucket(w, tab.w_edges):
+        out[kum_at[pos]] = P[pos] * _horner(tab.kum, tab.w_terms[j], w[pos])
     end_at = np.flatnonzero(u_all < tab.u_switch)
-    us = np.maximum(u_all[end_at].astype(_LD), _LD(1e-300))
+    us = np.maximum(u_all[end_at], 1e-300)
     for j, pos in _by_bucket(us, tab.u_edges):
         u = us[pos]
         terms = tab.u_terms[j]
-        val = _horner(tab.cd, terms, u) - np.log(u) * _horner(tab.cc, terms, u)
-        out[end_at[pos]] = (tab.pref * val).astype(float)
+        out[end_at[pos]] = tab.pref * (_horner(tab.cd, terms, u) - np.log(u) * _horner(tab.cc, terms, u))
     return out.reshape(shape)
 
 
@@ -448,11 +489,14 @@ def f_n(n: int, x: float) -> float:
 def f_n_prime(n: int, x: float) -> float:
     """Derivative F_n'(x) = ((n+1/2)^2/(2n+1)) 2F1(n+3/2, n+3/2; 2n+2; x).
 
-    Below the switch point it is the termwise derivative of F_n's power
-    series, a Horner sum to the derivative's own term count for x's
-    bucket.  Above it the connection expansion of F_n is differentiated
-    termwise instead (the shifted parameter set has c - a - b = -1, for
-    which no clean connection formula is coded).
+    From u_switch on it is the derivative of Kummer's form,
+
+        F_n' = P / (s (1+s)) [(2n+1)/2 G(w) + 2q / (1+s) G'(w)],
+
+    two positive terms, with G' summed to its own term count for w's
+    bucket.  Below u_switch the endpoint expansion of F_n is
+    differentiated termwise instead (the shifted parameter set has
+    c - a - b = -1, for which no clean connection formula is coded).
     """
     if n < 1:
         raise DomainError(f"f_n_prime: n must be >= 1, got {n}")
@@ -460,13 +504,15 @@ def f_n_prime(n: int, x: float) -> float:
     if x < 0.0 or x >= 1.0:
         raise DomainError(f"f_n_prime: argument x={x} outside [0, 1)")
     tab = _fn_tables(n)
-    if 1.0 - x >= tab.u_switch:
-        xs = np.array([x])
-        j, _ = next(_by_bucket(xs, tab.x_edges))
-        return float(_horner(tab.dser, tab.dx_terms[j], xs)[0])
+    u = np.array([1.0 - x])
+    if u[0] >= tab.u_switch:
+        P, q, w, s, hi = _kummer(n, np.array([x]), u)
+        j, _ = next(_by_bucket(w, tab.w_edges))
+        G = _horner(tab.kum, tab.w_terms[j], w)
+        Gp = _horner(tab.dkum, tab.dw_terms[j], w)
+        return float((P / (s * hi) * ((n + 0.5) * G + 2.0 * q / hi * Gp))[0])
     # d/dx F_n(1-u) = pref * [B/u + ln(u) B' - A'],  A = sum e_k d_k u^k, B = sum e_k u^k,
     # each summed to the term count of u's bucket
-    u = np.array([max(_LD(1.0) - _LD(x), _LD(1e-300))])
     j, _ = next(_by_bucket(u, tab.u_edges))
     terms = tab.u_terms[j]
     k = np.arange(1, terms)

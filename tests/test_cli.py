@@ -190,6 +190,12 @@ class TestBranch:
         code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")
         assert code == 2
 
+    def test_modes_not_below_theta_nodes_exit_2(self, tmp_path):
+        # n_modes >= n_theta makes the collocation system singular
+        args = ["branch", "--profile", "sphere", "--phi-nodes", "8", "--n-modes", "8", "--theta-nodes", "8", "--steps", "1"]
+        code, _ = run(tmp_path, *args)
+        assert code == 2
+
 
 class TestCrosscheck:
     def test_runs(self, tmp_path):

@@ -195,20 +195,44 @@ def _fn_reference(n, x):
     return (1 - x / 2) ** (-a) * sps.hyp2f1(a / 2, a / 2 + 0.5, a + 0.5, (x / (2 - x)) ** 2)
 
 
+def _near(edges):
+    """Every edge and its neighbours 1 ulp either side."""
+    return np.array([v for e in edges for v in (np.nextafter(e, 0), e, np.nextafter(e, 1))])
+
+
 class TestFnBuckets:
     """The bucketed Horner sums of f_n_many: seams and batch independence."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
     def test_bucket_edges_match_scipy(self, n):
         # every bucket edge and its neighbours 1 ulp either side; the last
-        # series edge is 1 - u_switch and the last endpoint edge u_switch
+        # Kummer edge is 1 - u_switch and the last endpoint edge u_switch
         tab = specfun._fn_tables(n)
-        near = lambda edges: np.array([v for e in edges for v in (np.nextafter(e, 0), e, np.nextafter(e, 1))])
-        xs = near(tab.x_edges)
-        us = near(tab.u_edges[tab.u_edges >= 1e-3])   # scipy loses digits below
+        xs = _near(tab.x_edges)
+        us = _near(tab.u_edges[tab.u_edges >= 1e-3])   # scipy loses digits below
         x = np.concatenate([xs, 1.0 - us])
         u = np.concatenate([1.0 - xs, us])
         assert np.max(np.abs(f_n_many(n, x, u) / _fn_reference(n, x) - 1.0)) <= 2e-13
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_mpmath(self, n):
+        # log-uniform u over (1e-14, 1) and every bucket edge of both
+        # branches ±1 ulp, each point given by its x (Kummer edges and the
+        # samples) or by its u (endpoint edges) and the other coordinate
+        # rounded from the exact point; the long-double endpoint sums read
+        # up to 1.7e-13 here
+        import mpmath
+
+        tab = specfun._fn_tables(n)
+        rng = np.random.default_rng(100 + n)
+        by_x = np.concatenate([1.0 - 10.0 ** rng.uniform(-14, 0, 300), _near(tab.x_edges)])
+        with mpmath.workdps(80):
+            pts = [mpmath.mpf(float(v)) for v in by_x] + [1 - mpmath.mpf(float(v)) for v in _near(tab.u_edges)]
+            a = mpmath.mpf(2 * n + 1) / 2
+            ref = np.array([float(mpmath.hyp2f1(a, a, 2 * n + 1, p)) for p in pts])
+            x = np.array([float(p) for p in pts])
+            u = np.array([float(1 - p) for p in pts])
+        assert np.max(np.abs(f_n_many(n, x, u) / ref - 1.0)) <= 2e-15
 
     def test_batch_independent(self):
         rng = np.random.default_rng(3)
@@ -221,15 +245,17 @@ class TestFnBuckets:
             assert np.array_equal(whole, [f_n_many(n, 1.0 - v, v)[0] for v in u[:, None]])
 
     def test_double_only_tables(self, monkeypatch):
-        # where np.longdouble is plain double, the endpoint sum keeps the
-        # accuracy README states for that case
+        # F_n runs in double alone: no table array is extended, and F_n is
+        # bitwise the same where np.longdouble is plain double
+        u = np.concatenate([np.logspace(-14, 0, 200)[:-1], 1.0 - _near(specfun._fn_tables(8).x_edges)])
+        before = {n: f_n_many(n, 1.0 - u, u) for n in range(1, 9)}
         monkeypatch.setattr(specfun, "_LD", np.float64)
         monkeypatch.setattr(specfun, "_FN_CACHE", {})
-        u = np.logspace(-3, np.log10(0.5), 200)
         for n in range(1, 9):
-            assert specfun._fn_tables(n).cc.dtype == np.float64
-            err = np.max(np.abs(f_n_many(n, 1.0 - u, u) / _fn_reference(n, 1.0 - u) - 1.0))
-            assert err <= 1e-9
+            tab = specfun._fn_tables(n)
+            arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+            assert arrays and all(v.dtype == np.float64 for v in arrays)
+            assert np.array_equal(f_n_many(n, 1.0 - u, u), before[n])
 
 
 class TestFnPrime:
@@ -257,16 +283,27 @@ class TestFnPrime:
     def test_series_branch_against_mpmath(self, n):
         # the derivative series has term counts of its own: F_n's counts
         # do not bound its slower tail
-        import mpmath
+        xs = np.linspace(0.0, 1.0 - specfun._fn_tables(n).u_switch, 201)[1:-1]
+        assert _prime_error(n, xs) <= 1e-15
 
-        mpmath.mp.dps = 40
-        tab = specfun._fn_tables(n)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_mpmath_to_the_diagonal(self, n):
+        # the same check over u = 1 - x in [1e-12, 0.9], through both
+        # branches and the switch between them
+        assert _prime_error(n, 1.0 - np.logspace(-12, np.log10(0.9), 201)) <= 1e-15
+
+
+def _prime_error(n, xs):
+    """Worst relative error of f_n_prime on xs against mpmath at 40 digits."""
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(40):
         a = mpmath.mpf(2 * n + 1) / 2
-        worst = 0.0
-        for x in np.linspace(0.0, 1.0 - tab.u_switch, 201)[1:-1]:
+        for x in xs:
             ref = a * a / (2 * n + 1) * mpmath.hyp2f1(a + 1, a + 1, 2 * n + 2, mpmath.mpf(float(x)))
             worst = max(worst, abs(float((mpmath.mpf(f_n_prime(n, float(x))) - ref) / ref)))
-        assert worst <= 1e-15
+    return worst
 
 
 class TestRingIntegral:
