@@ -20,20 +20,19 @@ It walks that tensor in chunks of vphi rows of about 20k elements, so
 every temporary stays in cache; ``_velocity_batch`` walks the same
 chunks.
 
-The branch of rotating solutions through the mode-m bifurcation point is
-parametrized by the amplitude s = <f, h*_m> and corrected by a damped
-Newton iteration on the square collocation system
-{mode coefficients of Ftilde = 0, amplitude = s} in the unknowns
-(f-coefficients on the equatorial half grid, Omega).  Its Jacobian is
-exact and rebuilt at every iteration: ``_stream`` differentiates the
-closed form in its upper limit (the source surface) and in the target
-radius, chunk by chunk, and the chain rule through the radii, the
-theta-mean subtraction and the mode projection is linear.  The I of
-that partials pass is bitwise the plain pass's, so one pass gives an
-iterate both its residual and its Jacobian; the line search adds one
-plain pass per trial step.  Each converged point keeps the bracket
-I(f) - (Omega/2) r^2 of its accepted iterate, which the velocity-form
-check reuses instead of recomputing.
+The branch of rotating solutions through the mode-m bifurcation point of
+an equatorially symmetric profile is corrected by a damped Newton
+iteration on the bordered collocation system {mode coefficients of
+Ftilde = 0, t . u = s} in the unknowns u = (f-coefficients on the
+equatorial half grid, Omega).  The amplitude s = <f_1, h*_m> is the one
+linear constraint row t: residual entry t . u - s, Jacobian row t.  The
+rest of the Jacobian is exact: ``_stream`` differentiates the closed
+form in its upper limit (the source surface) and in the target radius,
+chunk by chunk, and the chain rule through the radii, the theta-mean
+subtraction and the mode projection is linear.  That partials pass gives
+an iterate its residual, Jacobian and bracket I(f) - (Omega/2) r^2 (its
+I is bitwise the plain pass's); each line-search trial is one plain
+pass.  The velocity-form check reuses the accepted iterate's bracket.
 """
 
 from __future__ import annotations
@@ -100,6 +99,9 @@ class Collocation:
             raise DomainError(
                 f"Collocation: n_modes must be < n_theta, got n_modes={self.n_modes}, n_theta={self.n_theta}"
             )
+        if not self.kctx.mirrored:
+            # only the northern phi targets are solved, the rest mirrored
+            raise DomainError("Collocation: the profile is not symmetric about the equator")
         N = self.kctx.n_nodes
         self.half = N // 2
         j = np.arange(self.n_theta)
@@ -529,63 +531,52 @@ def _unpack(col: Collocation, u: np.ndarray):
     return half, float(u[-1])
 
 
-def _amplitude(col: Collocation, full_coeffs: np.ndarray, hstar: np.ndarray) -> float:
-    w = col.kctx.weights
-    return float(np.sum(full_coeffs[0] * hstar * w) / np.sum(hstar * hstar * w))
+def _amplitude_row(col: Collocation, hstar: np.ndarray) -> np.ndarray:
+    """The amplitude s = <f_1, h*>_w / <h*, h*>_w as a row t on the
+    unknowns, t @ u = s: f_1 is mirrored from its half, so t holds h* w
+    folded by ``_mirrored``, and zero on the other modes and on Omega."""
+    hw = hstar * col.kctx.weights
+    t = np.zeros(col.n_modes * col.half + 1)
+    t[: col.half] = _mirrored(col, hw[None, :])[0] / np.sum(hstar * hw)
+    return t
 
 
-def _system(col: Collocation, modes: np.ndarray, f: Perturbation, s: float, hstar: np.ndarray) -> np.ndarray:
-    """Residual of the square system: the Ftilde modes, then amplitude - s."""
-    return np.concatenate([modes.ravel(), [_amplitude(col, f.coeffs, hstar) - s]])
+def _system(modes: np.ndarray, t: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
+    """Residual of the square system: the Ftilde modes, then t @ u - s."""
+    return np.concatenate([modes.ravel(), [t @ u - s]])
 
 
-def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray, with_bracket: bool = False):
-    """``_system`` at u; with ``with_bracket``, (residual, bracket) as in
-    ``f_tilde``."""
+def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
+    """(``_system`` at u, bracket): one plain pass through
+    ``f_tilde_modes``, with the bracket as in ``f_tilde``."""
     half, omega = _unpack(col, u)
-    f = Perturbation.from_half(col, half)
-    modes, bracket = f_tilde_modes(col, omega, f, with_bracket=True)
-    res = _system(col, modes, f, s, hstar)
-    return (res, bracket) if with_bracket else res
+    modes, bracket = f_tilde_modes(col, omega, Perturbation.from_half(col, half), with_bracket=True)
+    return _system(modes, _amplitude_row(col, hstar), u, s), bracket
 
 
-def _omega_column(col: Collocation, u: np.ndarray) -> np.ndarray:
-    """Analytic d(residual)/d(Omega): the Omega dependence of Ftilde is
-    -(r^2 - mean r^2) / (2 r0), no integrals involved."""
-    half, _ = _unpack(col, u)
-    f = Perturbation.from_half(col, half)
-    R2 = f.radius_at_nodes(col.theta)[: col.half] ** 2
-    dmodes = _theta_modes(col, _stationarity(col, -0.5 * R2))
-    return np.concatenate([dmodes.ravel(), [0.0]])
-
-
-def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray, with_bracket: bool = False):
-    """(residual, J): ``_residual`` at u and its exact Jacobian, both from
-    one ``_stream`` pass with partials (its I is bitwise the plain
-    pass's).  The target radius R[i, j] = r0(phi_i) +
-    sum_k f_k(phi_i) cos(k m theta_j) moves with the coefficients, so
-    d bracket = dI_src + (dI/drho - Omega R) dR; the theta-mean
-    subtraction, the division by r0 and the mode projection are linear
-    and shared with ``f_tilde_modes``.  The amplitude row pairs f_1 with
-    h* (mirrored like the coefficients), and the Omega column is
-    ``_omega_column``.  With ``with_bracket`` the bracket follows, as in
-    ``f_tilde``."""
+def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
+    """(residual, J, bracket): ``_residual`` at u and its exact Jacobian,
+    all from one ``_stream`` pass with partials (its I is bitwise the
+    plain pass's).  The target radius R[i, j] = r0(phi_i) +
+    sum_k f_k(phi_i) cos(k m theta_j) moves with the half coefficients
+    of its own node alone (the mirrored interpolation rows of the grid
+    nodes are the identity), so d bracket = dI_src + (dI/drho - Omega R)
+    cos(k m theta_j) on the diagonal n = i.  The Omega column is the
+    modes of -R^2/2; the last row is the amplitude row t."""
     half, omega = _unpack(col, u)
-    f = Perturbation.from_half(col, half)
-    phis = col.kctx.nodes[: col.half]
-    R, bracket, d_src, d_rho = _bracket(col, omega, f, phis, col.theta, partials=True)
-    res = _system(col, _theta_modes(col, _stationarity(col, bracket)), f, s, hstar)
-    Pt = _mirrored(col, interp_matrix(col.kctx.nodes, col.kctx.bary, phis))
-    dR = col.cos_ktheta.T[None, :, :, None] * Pt[:, None, None, :]      # (phi, theta, k, n)
-    d_bracket = d_src + (d_rho - omega * R)[:, :, None, None] * dR
-    d_modes = _theta_modes(col, _stationarity(col, d_bracket))         # (l, phi, k, n)
+    R, bracket, d_src, d_rho = _bracket(
+        col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta, partials=True
+    )
+    t = _amplitude_row(col, hstar)
+    res = _system(_theta_modes(col, _stationarity(col, bracket)), t, u, s)
+    diag = np.arange(col.half)
+    d_src[diag, :, :, diag] += (d_rho - omega * R)[:, :, None] * col.cos_ktheta.T[None, :, :]
     n = col.n_modes * col.half
     J = np.zeros((n + 1, n + 1))
-    J[:n, :n] = d_modes.reshape(n, n)
-    hw = hstar * col.kctx.weights
-    J[n, : col.half] = _mirrored(col, hw[None, :])[0] / np.sum(hstar * hw)
-    J[:, -1] = _omega_column(col, u)
-    return (res, J, bracket) if with_bracket else (res, J)
+    J[:n, :n] = _theta_modes(col, _stationarity(col, d_src)).reshape(n, n)
+    J[:n, n] = _theta_modes(col, _stationarity(col, -0.5 * R ** 2)).ravel()
+    J[n] = t
+    return res, J, bracket
 
 
 def newton_correct(
@@ -595,23 +586,26 @@ def newton_correct(
     f_init: Perturbation,
     hstar: np.ndarray,
 ):
-    """Damped Newton solve of {Ftilde modes = 0, amplitude = s}.
+    """Damped Newton solve of {Ftilde modes = 0, t . u = s}, with the
+    amplitude row t of ``_amplitude_row``.
 
-    One ``_stream`` pass with partials at the initial guess gives both
-    its residual and the exact Jacobian (``_jacobian``: the partials of
-    the stream contraction in the shape coefficients, the analytic Omega
-    column).  Each iteration takes the Newton step and halves it until
-    the residual max-norm falls, at most DAMP_MAX times; each trial is
-    one plain pass.  Only an accepted step that leaves the residual above
-    NEWTON_TOL is linearized again, so an iteration that converges costs
-    one partials pass and one plain pass.  Returns (BranchPoint,
-    jacobian): the point carries the bracket of its accepted iterate, and
-    the Jacobian is that of the last linearization, at the initial guess
-    if it already met NEWTON_TOL.
+    One ``_stream`` pass with partials at the initial guess gives its
+    residual, bracket and exact Jacobian (``_jacobian``).  A non-finite
+    residual there is a SolverError.  Each iteration takes the Newton
+    step and halves it until the residual max-norm falls, at most
+    DAMP_MAX times; each trial is one plain pass.  Only an accepted step
+    that leaves the residual above NEWTON_TOL is linearized again, so an
+    iteration that converges costs one partials pass and one plain pass.
+    Returns (BranchPoint, jacobian): the point carries the bracket of its
+    accepted iterate, and the Jacobian is that of the last
+    linearization, at the initial guess if it already met NEWTON_TOL.
     """
     u = _pack(f_init.coeffs[:, : col.half], omega_init)
-    res, jac, bracket = _jacobian(col, u, s, hstar, with_bracket=True)
+    res, jac, bracket = _jacobian(col, u, s, hstar)
     rnorm = float(np.max(np.abs(res)))
+    if not np.isfinite(rnorm):
+        # NaN fails every comparison: the loop below would accept it
+        raise SolverError(f"newton_correct: non-finite residual ({rnorm}) at the initial guess")
     it = 0
     while rnorm > NEWTON_TOL:
         if it >= NEWTON_MAXIT:
@@ -625,7 +619,7 @@ def newton_correct(
         scale = 1.0
         for _ in range(DAMP_MAX + 1):
             try:
-                new_res, new_bracket = _residual(col, u + scale * delta, s, hstar, with_bracket=True)
+                new_res, new_bracket = _residual(col, u + scale * delta, s, hstar)
             except GeometryError:
                 scale *= 0.5
                 continue
@@ -654,10 +648,13 @@ def continue_branch(
 
     The first predictor is the tangent s h*_m cos(m theta) at Omega_m;
     later predictors extrapolate the previous two points linearly.  A
-    corrector failure truncates the branch and records the step.
+    corrector failure truncates the branch and records the step.  s_max
+    must be finite and nonzero.
     """
     if steps < 1:
         raise DomainError(f"continue_branch: steps must be >= 1, got {steps}")
+    if not np.isfinite(s_max) or s_max == 0:
+        raise DomainError(f"continue_branch: s_max must be finite and nonzero, got {s_max}")
     if bp is None:
         bp = find_bifurcation_point(col.kctx, col.m)
     hstar = np.asarray(bp.eigfun, dtype=float)

@@ -196,6 +196,30 @@ class TestBranch:
         code, _ = run(tmp_path, *args)
         assert code == 2
 
+    @pytest.mark.parametrize("s_max,steps", [("0", "2"), ("nan", "1"), ("inf", "1")])
+    def test_degenerate_s_max_exit_2(self, tmp_path, s_max, steps):
+        # s_max = 0 once made the second predictor 0/0 and wrote a NaN point
+        code, out = run(
+            tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8", "--de-level", "5", "--modes", "2",
+            "--n-modes", "2", "--theta-nodes", "4", "--s-max", s_max, "--steps", steps,
+        )
+        assert code == 2
+        result = out / "branch.json"
+        assert not result.exists() or "NaN" not in result.read_text()
+
+    def test_asymmetric_profile_exit_2(self, tmp_path):
+        # Collocation solves the northern half of the grid and mirrors it
+        phi = np.linspace(0.0, np.pi, 201)
+        r0 = np.sin(phi) * (1.0 + 0.1 * np.cos(phi))
+        csv = tmp_path / "asym.csv"
+        csv.write_text("phi,r0\n" + "\n".join(f"{p:.17g},{r:.17g}" for p, r in zip(phi, r0)) + "\n")
+        code, out = run(
+            tmp_path, "branch", "--profile", f"file:{csv}", "--phi-nodes", "16", "--de-level", "6", "--modes", "2",
+            "--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.01", "--steps", "2",
+        )
+        assert code == 2
+        assert not (out / "branch.json").exists()
+
 
 class TestCrosscheck:
     def test_runs(self, tmp_path):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import qg3d as q
-from qg3d.errors import DomainError, GeometryError
+from qg3d.errors import DomainError, GeometryError, SolverError
 from qg3d import cli, nonlinear
 from qg3d.nonlinear import (
     Perturbation,
+    _amplitude_row,
     _angle_tables,
     _axis_velocity_grid,
     _bracket,
@@ -262,6 +263,23 @@ class TestNewtonAndBranch:
             pair = np.sum(pt.f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
             assert pair == pytest.approx(pt.s, abs=2e-8)
 
+    def test_nan_amplitude_raises(self, col_sphere_m2):
+        # a NaN residual fails every comparison, so it must not pass for converged
+        bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
+        with pytest.raises(SolverError, match="non-finite"):
+            newton_correct(col_sphere_m2, float("nan"), bp.omega_m, Perturbation.zero(col_sphere_m2), bp.eigfun)
+
+    @pytest.mark.parametrize("s_max", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_degenerate_s_max_rejected(self, col_sphere_m2, s_max):
+        with pytest.raises(DomainError, match="s_max"):
+            q.continue_branch(col_sphere_m2, s_max, 2)
+
+    def test_asymmetric_profile_rejected(self, asym_ctx):
+        # only the northern half of the targets is solved; the mirror
+        # would leave the southern half unsolved
+        with pytest.raises(DomainError, match="equator"):
+            q.Collocation(asym_ctx, m=2, n_modes=2, n_theta=4)
+
 
 class TestExactJacobian:
     """The analytic Newton Jacobian and the chunked (vphi, eta, side) walk."""
@@ -273,7 +291,7 @@ class TestExactJacobian:
             up, um = u.copy(), u.copy()
             up[c] += step
             um[c] -= step
-            J[:, c] = (_residual(col, up, 0.0, hstar) - _residual(col, um, 0.0, hstar)) / (2.0 * step)
+            J[:, c] = (_residual(col, up, 0.0, hstar)[0] - _residual(col, um, 0.0, hstar)[0]) / (2.0 * step)
         return J
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
@@ -399,8 +417,25 @@ class TestOneStreamPass:
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
-        res, _ = _jacobian(col, u, 0.003, bp.eigfun)
-        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun))
+        res, _, _ = _jacobian(col, u, 0.003, bp.eigfun)
+        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun)[0])
+
+    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
+    def test_amplitude_is_one_constraint_row(self, profile, n_nodes, n_modes):
+        col = collocation(profile, n_nodes, n_modes)
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        f = random_perturbation(col, 5)
+        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        t = _amplitude_row(col, bp.eigfun)
+        res, J, bracket = _jacobian(col, u, 0.003, bp.eigfun)
+        assert np.array_equal(J[-1], t)
+        assert res[-1] == t @ u - 0.003
+        w = col.kctx.weights
+        pair = np.sum(f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
+        assert abs(t @ u - pair) <= 1e-15 * abs(pair)
+        plain, plain_bracket = _residual(col, u, 0.003, bp.eigfun)
+        assert np.array_equal(res, plain)
+        assert np.array_equal(bracket, plain_bracket)
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
     def test_velocity_residual_reuses_bracket_bitwise(self, profile, n_nodes, n_modes):
