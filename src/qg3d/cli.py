@@ -63,6 +63,10 @@ class RunConfig:
             raise DomainError(f"config: guard must lie in (0, 1e-2), got {self.guard}")
         if self.steps < 1:
             raise DomainError("config: steps must be >= 1")
+        for key in ("s_max", "omega", "omega_grid", "axis_z"):
+            val = getattr(self, key)
+            if val is not None and not np.all(np.isfinite(val)):
+                raise DomainError(f"config: {key} must be finite, got {val}")
 
 
 def _fits(hint, val) -> bool:

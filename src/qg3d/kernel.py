@@ -45,9 +45,13 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
   bitwise centrosymmetric; it differs from a full walk by at most 5.0e-13
   relative to max|B_n| (N = 96, de_level 7, modes 1..8, sphere,
   spheroid:0.5 and the bumped tabulated profile), because the split rules
-  at pi - phi_i mirror those at phi_i only to round-off.  ``kappa`` scans
-  the northern half of its verifying sample for the same reason.  A
-  profile that fails the check takes the full walk.
+  at pi - phi_i mirror those at phi_i only to round-off.  A profile that
+  fails the check takes the full walk.
+* kappa is the least of nu0 and two extra H_1 rows, at the midpoints of
+  the grid intervals on either side of argmin nu0: the Gauss nodes leave
+  the equator and the poles uncovered, and a minimum there (the equator
+  of the bumped test profile, the pole of an asymmetric one) lies
+  between nodes.
 """
 
 from __future__ import annotations
@@ -127,14 +131,14 @@ def _hn_values(p: Profile, n: int, phi, vphi, clamp: bool = True):
         raise DomainError("h_n: coincident pole arguments degenerate (R = 0)")
     if not clamp and np.any(one_minus <= 0.0):
         raise DomainError("h_n: coincident interior arguments (x = 1) are singular")
-    return _hn_chordal(n, np.sin(vphi), rp, rq, R, one_minus)
+    return _hn_chordal(n, np.sin(vphi), rp, rq, R, f_n_many(n, 1.0 - one_minus, one_minus))
 
 
-def _hn_chordal(n: int, sin_v, rp, rq, R, one_minus):
-    """H_n from sin(vphi) and the :func:`_chordal` values, which do not
-    depend on n."""
-    F = f_n_many(n, 1.0 - one_minus, one_minus)
-    return _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5)) * F
+def _hn_chordal(n: int, sin_v, rp, rq, R, F):
+    """H_n from sin(vphi), the :func:`_chordal` values (which do not depend
+    on n) and F = F_n(x), formed in F's storage."""
+    F *= _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5))
+    return F
 
 
 def h_n(p: Profile, n: int, phi, vphi):
@@ -199,19 +203,22 @@ class KernelContext:
         """Yield (first, bounds, t, whs) for consecutive blocks of at most
         _ROW_BLOCK targets: t concatenates the split tanh-sinh nodes of the
         block's targets, whs[k] holds the rule weights times
-        H_{ns[k]}(target, t), one H_n evaluation per mode on geometry shared
-        by all modes, and the row of target first + r is
-        t[bounds[r]:bounds[r + 1]]."""
+        H_{ns[k]}(target, t), formed in place in the rows of one F_n call
+        for all modes on geometry shared by all modes, and the row of
+        target first + r is t[bounds[r]:bounds[r + 1]]."""
         for first in range(0, len(targets), _ROW_BLOCK):
             block = targets[first:first + _ROW_BLOCK]
             rules = [self.row_rule(pt) for pt in block]
             sizes = [len(t) for t, _ in rules]
             t = np.concatenate([t for t, _ in rules])
             w = np.concatenate([w for _, w in rules])
-            geo = _chordal(self.profile, np.repeat(block, sizes), t)
+            rp, rq, R, one_minus = _chordal(self.profile, np.repeat(block, sizes), t)
             sin_t = np.sin(t)
-            whs = [w * _hn_chordal(n, sin_t, *geo) for n in ns]
-            del geo, sin_t  # freed before the next block's are built: peak memory
+            whs = f_n_many(ns, 1.0 - one_minus, one_minus)
+            for n, wh in zip(ns, whs):
+                _hn_chordal(n, sin_t, rp, rq, R, wh)
+                wh *= w
+            del rp, rq, R, one_minus, sin_t  # freed before the next block's are built: peak memory
             yield first, np.cumsum([0, *sizes]), t, whs
 
     def mode_tables(self, n: int):
@@ -269,16 +276,16 @@ class KernelContext:
 
     @property
     def kappa(self) -> float:
-        """Infimum of int H_1(phi, .) over the grid nodes and a refined phi
-        sample, whose rows are summed directly from their split rules (on
-        a mirrored context the sample's northern half: Gauss-Legendre
-        nodes are symmetric)."""
+        """Infimum of int H_1(phi, .) over the grid nodes and the midpoints
+        of the two grid intervals beside the node where nu0 is least (at
+        an end node one of them reaches the pole); the two midpoint rows
+        are summed directly from their split rules."""
         if "kappa" not in self._cache:
-            fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * self.n_nodes)[0])
-            if self.mirrored:
-                fine = fine[:self.n_nodes]
-            rows = [np.add.reduceat(wh, bounds[:-1]) for _, bounds, _, (wh,) in self._row_blocks([1], fine)]
-            k = float(min(np.min(self.nu0), np.min(np.concatenate(rows))))
+            i = int(np.argmin(self.nu0))
+            edges = np.concatenate([[0.0], self.nodes, [np.pi]])
+            mids = 0.5 * (edges[i:i + 2] + edges[i + 1:i + 3])
+            _, bounds, _, (wh,) = next(self._row_blocks([1], mids))
+            k = float(min(self.nu0[i], np.min(np.add.reduceat(wh, bounds[:-1]))))
             if k <= 0.0:
                 raise AccuracyError(f"kappa: computed non-positive infimum {k}")
             self._cache["kappa"] = k

@@ -410,8 +410,8 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
     targets via the surface integral
     (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist, walked in
     the chunks of vphi rows that ``_stream`` uses."""
-    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
     ang_cos, ang_sin, exp_eta = _angle_tables(col, col.theta)
+    km_sin = (np.arange(1, col.n_modes + 1) * col.m).astype(float)[:, None, None] * ang_sin
     cos_e = np.cos(col.eta_nodes)
     sin_e = np.sin(col.eta_nodes)
     out = np.empty((col.half, col.n_theta), dtype=complex)
@@ -428,7 +428,7 @@ def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) ->
         y_r = np.zeros(cs.shape)
         for sl in _row_chunks(col, len(r0q)):
             r = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], ang_cos)
-            dr = -np.einsum("kp,k,kes->pes", Fk[:, sl], km, ang_sin)
+            dr = -np.einsum("kp,kes->pes", Fk[:, sl], km_sin)
             inv = 1.0 / np.sqrt((r - cs[None, :, :]) ** 2 + rs2[None, :, :] + dcos2[sl, None, None])
             y_dr += np.einsum("pe,pes->es", W[sl], dr * inv)
             y_r += np.einsum("pe,pes->es", W[sl], r * inv)

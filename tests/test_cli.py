@@ -186,6 +186,23 @@ class TestBranch:
         cfg.write_text(json.dumps(entry))
         assert main(["branch", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("branch", ["--s-max", "nan"]),
+            ("eigenfun", ["--omega", "inf"]),
+            ("dispersion", ["--omega-grid=0.1,nan"]),
+            ("branch", ["--config", "axis_z_nan.json"]),
+        ],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, command, args):
+        # rejected before the config echo, which would hold bare NaN tokens
+        (tmp_path / "axis_z_nan.json").write_text('{"axis_z": [NaN]}')
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        code, out = run(tmp_path, command, "--profile", "sphere", "--phi-nodes", "8", "--modes", "2", *args)
+        assert code == 2
+        assert not list(out.glob("*_config.json"))
+
     def test_zero_modes_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")
         assert code == 2

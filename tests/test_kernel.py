@@ -9,8 +9,10 @@ from scipy import special as sps
 
 import qg3d as q
 from qg3d.errors import DomainError
-from qg3d.kernel import _LAGRANGE_CHUNK, _cn, _hn_values, row_apply
-from qg3d.quadrature import interp_matrix
+from qg3d import kernel
+from qg3d.kernel import _LAGRANGE_CHUNK, _ROW_BLOCK, _chordal, _cn, _hn_values, row_apply
+from qg3d.quadrature import interp_matrix, split_de
+from qg3d.specfun import f_n_many
 
 
 @pytest.fixture(scope="module")
@@ -258,31 +260,104 @@ class TestRowBlocks:
             ctx.mode_b_matrices([2, 0])
 
     def test_kappa(self, ctx):
-        fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
-        rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, fine])]
+        rows = [np.sum(self._row(ctx, 1, pt)[1]) for pt in np.concatenate([ctx.nodes, _kappa_midpoints(ctx)])]
         assert q.kappa(ctx) == pytest.approx(min(rows), rel=1e-14)
+
+    def test_kappa_two_rows(self, ctx, monkeypatch):
+        # once B_1 exists, kappa costs the split rules of its two midpoint rows
+        fresh = self._fresh(ctx)
+        fresh.nu0
+        calls = []
+        monkeypatch.setattr(kernel, "split_de", lambda *a: calls.append(a) or split_de(*a))
+        fresh.kappa
+        assert len(calls) == 2
+
+
+def _kappa_midpoints(ctx):
+    """Midpoints of the two grid intervals beside argmin nu0, the poles
+    closing the end intervals."""
+    i = int(np.argmin(ctx.nu0))
+    edges = np.concatenate([[0.0], ctx.nodes, [np.pi]])
+    return 0.5 * (edges[i:i + 2] + edges[i + 1:i + 3])
+
+
+def _profile(name):
+    phi = np.linspace(0.0, np.pi, 401)
+    if name == "bumped":
+        return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.sin(phi) ** 2))
+    if name == "asym":
+        return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
+    kind, _, a = name.partition(":")
+    return q.make_profile(kind, a=float(a or 1.0))
+
+
+class TestOneFnCallPerBlock:
+    """One f_n_many call for modes 1..8 and 12 on a row block of the walk
+    is bitwise the per-mode calls (every block of the full walk, N = 96,
+    de_level 7)."""
+
+    @pytest.mark.parametrize("name", ["sphere", "spheroid:0.5", "spheroid:2", "bumped", "asym"])
+    def test_walk_blocks(self, name):
+        ctx = q.KernelContext(_profile(name), 96, 7, 3)
+        modes = [*range(1, 9), 12]
+        for first in range(0, ctx.n_nodes, _ROW_BLOCK):
+            block = ctx.nodes[first:first + _ROW_BLOCK]
+            rules = [ctx.row_rule(pt)[0] for pt in block]
+            u = _chordal(ctx.profile, np.repeat(block, [len(t) for t in rules]), np.concatenate(rules))[3]
+            for n, row in zip(modes, f_n_many(modes, 1.0 - u, u)):
+                assert np.array_equal(row, f_n_many(n, 1.0 - u, u))
+
+
+class TestKappaMidpoints:
+    """kappa from two midpoint rows against the sample it replaced: the
+    grid nodes and 2N Gauss-Legendre nodes (their northern half on a
+    mirrored context), at de_level 8."""
+
+    @staticmethod
+    def _gauss_sample_kappa(ctx):
+        fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * ctx.n_nodes)[0])
+        if ctx.mirrored:
+            fine = fine[:ctx.n_nodes]
+        rows = []
+        for pt in fine:
+            t, w = ctx.row_rule(pt)
+            rows.append(np.sum(w * _hn_values(ctx.profile, 1, pt, t)))
+        return min(np.min(ctx.nu0), min(rows))
+
+    @pytest.mark.parametrize("name", ["sphere", "spheroid:0.5", "spheroid:2"])
+    @pytest.mark.parametrize("N", [16, 48, 96])
+    def test_constant_nu_agrees(self, name, N):
+        # nu0 is constant: measured at most 6.9e-15 relative
+        ctx = q.KernelContext(_profile(name), N, 8, 3)
+        assert ctx.kappa == pytest.approx(self._gauss_sample_kappa(ctx), rel=1.4e-14)
+
+    @pytest.mark.parametrize(
+        "name,N,shift",
+        [
+            # the bumped profile's minimum is the equator, which is the
+            # midpoint beside argmin nu0 and no node of the 2N sample
+            ("bumped", 96, -7.9e-6), ("bumped", 48, -3.2e-5), ("bumped", 16, -2.9e-4),
+            # the asymmetric one's lies at the pole, and the 2N sample's
+            # first node is nearer to it than the midpoint of (0, phi_0)
+            ("asym", 96, 1.9e-9), ("asym", 48, 2.3e-8), ("asym", 16, 1.1e-6),
+        ],
+    )
+    def test_measured_shift(self, name, N, shift):
+        ctx = q.KernelContext(_profile(name), N, 8, 3)
+        old = self._gauss_sample_kappa(ctx)
+        assert (ctx.kappa - old) / old == pytest.approx(shift, rel=0.05)
 
 
 class TestEquatorialMirror:
     """The half walk on profiles symmetric about the equator, and the full
     walk, unchanged, on the others."""
 
-    @staticmethod
-    def _profile(name):
-        phi = np.linspace(0.0, np.pi, 401)
-        if name == "bumped":
-            return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.sin(phi) ** 2))
-        if name == "asym":
-            return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
-        kind, _, a = name.partition(":")
-        return q.make_profile(kind, a=float(a or 1.0))
-
     @pytest.mark.parametrize(
         "name,mirrored",
         [("sphere", True), ("spheroid:0.5", True), ("spheroid:2", True), ("bumped", True), ("asym", False)],
     )
     def test_gate(self, name, mirrored):
-        assert q.KernelContext(self._profile(name), 16, 4, 3).mirrored is mirrored
+        assert q.KernelContext(_profile(name), 16, 4, 3).mirrored is mirrored
 
     @pytest.mark.parametrize("name", ["sphere", "spheroid:0.5", "bumped"])
     def test_half_walk_matches_full_walk(self, name):
@@ -290,8 +365,8 @@ class TestEquatorialMirror:
         # round-off; measured worst over B_1..B_8 at N = 96, de_level 7:
         # 3.8e-13 (sphere), 5.0e-13 (spheroid:0.5), 3.6e-13 (bumped),
         # relative to max|B_n|
-        half = q.KernelContext(self._profile(name), 96, 7, 3)
-        full = q.KernelContext(self._profile(name), 96, 7, 3)
+        half = q.KernelContext(_profile(name), 96, 7, 3)
+        full = q.KernelContext(_profile(name), 96, 7, 3)
         full.mirrored = False
         for Bh, Bf in zip(half.mode_b_matrices(range(1, 9)), full.mode_b_matrices(range(1, 9))):
             assert np.max(np.abs(Bh - Bf)) <= 1e-12 * np.max(np.abs(Bf))
@@ -310,8 +385,7 @@ class TestEquatorialMirror:
                 sl = slice(c, c + _LAGRANGE_CHUNK)
                 ref[i] += wh[sl] @ interp_matrix(asym_ctx.nodes, asym_ctx.bary, t[sl])
         assert np.array_equal(asym_ctx.mode_b_matrix(2), ref)
-        fine = 0.5 * np.pi * (1.0 + np.polynomial.legendre.leggauss(2 * asym_ctx.n_nodes)[0])
-        rows = [np.add.reduceat(row(pt, 1)[1], [0])[0] for pt in fine]
+        rows = [np.add.reduceat(row(pt, 1)[1], [0])[0] for pt in _kappa_midpoints(asym_ctx)]
         assert asym_ctx.kappa == min(np.min(asym_ctx.nu0), min(rows))
 
 

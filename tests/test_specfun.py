@@ -258,6 +258,51 @@ class TestFnBuckets:
             assert np.array_equal(f_n_many(n, 1.0 - u, u), before[n])
 
 
+_MODES = [*range(1, 9), 12]
+
+
+def _assert_stacked_is_per_mode(x, u):
+    stacked = f_n_many(_MODES, x, u)
+    assert stacked.shape == (len(_MODES), *np.shape(x))
+    for n, row in zip(_MODES, stacked):
+        assert np.array_equal(row, f_n_many(n, x, u))
+
+
+class TestFnManyModes:
+    """One f_n_many call for several modes is bitwise the per-mode calls
+    (on the kernel's row blocks: ``test_kernel.TestOneFnCallPerBlock``)."""
+
+    def test_bucket_edges(self):
+        # every edge of every listed mode's buckets, 1 ulp either side
+        tabs = [specfun._fn_tables(n) for n in _MODES]
+        xs = _near(np.concatenate([t.x_edges for t in tabs]))
+        us = _near(np.concatenate([t.u_edges for t in tabs]))
+        _assert_stacked_is_per_mode(np.concatenate([xs, 1.0 - us]), np.concatenate([1.0 - xs, us]))
+
+    def test_points_independent(self):
+        # x and u drawn apart, so that Kummer's w, taken from x below 1/2,
+        # does not follow u's order (the kernel's x = 1 - u always does):
+        # each value is still the one-point call's
+        rng = np.random.default_rng(11)
+        u = 10.0 ** rng.uniform(-14, 0, 400)
+        x = rng.uniform(0.0, 1.0, u.size)
+        whole = f_n_many(_MODES, x, u)
+        for n, row in zip(_MODES, whole):
+            assert np.array_equal(row, [f_n_many(n, x[i:i + 1], u[i:i + 1])[0] for i in range(u.size)])
+
+    def test_shapes(self):
+        x = np.linspace(0.0, 0.99, 6).reshape(2, 3)
+        assert f_n_many(2, x).shape == (2, 3)
+        assert f_n_many([2], x).shape == (1, 2, 3)
+        assert f_n_many([], x).shape == (0, 2, 3)
+        assert f_n_many([3, 1], x[0, 0]).shape == (2,)
+
+    @pytest.mark.parametrize("ns,bad", [([1, 3, 0, 2], 0), ([2, -4], -4), (0, 0)])
+    def test_bad_mode_named(self, ns, bad):
+        with pytest.raises(DomainError, match=f"mode {bad} "):
+            f_n_many(ns, np.array([0.5]))
+
+
 class TestFnPrime:
     def test_at_zero(self):
         assert f_n_prime(1, 0.0) == pytest.approx(0.75, rel=1e-13)
