@@ -37,15 +37,17 @@ EXIT_SOLVER = 3
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (JSON file merged with CLI overrides)."""
+    """Resolved run configuration (JSON file merged with CLI overrides).
+    The solver settings default to the defaults of the ``KernelContext``
+    and ``nonlinear.Collocation`` fields they drive."""
 
     profile: str = "sphere"
-    phi_nodes: int = 96
-    theta_nodes: int = 8
-    de_level: int = 9
-    direct_level: int = 3
-    n_modes: int = 4
-    guard: float = 1e-3
+    phi_nodes: int = KernelContext.n_nodes
+    theta_nodes: int = nonlinear.Collocation.n_theta
+    de_level: int = KernelContext.de_level
+    direct_level: int = KernelContext.direct_level
+    n_modes: int = nonlinear.Collocation.n_modes
+    guard: float = KernelContext.guard_frac
     modes: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
     omega_grid: list[float] = field(default_factory=list)
     omega: float | None = None
@@ -207,7 +209,6 @@ def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
     points_meta = []
     for i, pt in enumerate(branch.points):
         axis = nonlinear.velocity_on_axis(col, pt.f, cfg.axis_z)
-        vres = nonlinear.velocity_residual(col, pt.omega, pt.f, bracket=pt.bracket)
         points_meta.append(
             {
                 "s": pt.s,
@@ -215,7 +216,7 @@ def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
                 "residual": pt.residual,
                 "iterations": pt.iterations,
                 "axis_velocity": axis,
-                "velocity_form_residual": vres,
+                "velocity_form_residual": pt.velocity_residual,
             }
         )
         r = pt.f.radius_at_nodes(theta_out)
@@ -282,29 +283,24 @@ def _parse_args(argv):
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
+    hints = get_type_hints(RunConfig)
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise OSError(f"config file {args.config}: {exc}") from exc
-        hints = get_type_hints(RunConfig)
         for key, val in raw.items():
             if key not in hints:
                 raise DomainError(f"config file: unknown key {key!r}")
             if not _fits(hints[key], val):
                 raise DomainError(f"config file: value {val!r} of {key!r} has the wrong type")
             setattr(cfg, key, val)
-    for key in (
-        "profile", "phi_nodes", "theta_nodes", "de_level", "direct_level", "n_modes",
-        "omega", "s_max", "steps", "guard", "outdir",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.modes is not None:
-        cfg.modes = _list_arg("--modes", args.modes, int)
-    if args.omega_grid is not None:
-        cfg.omega_grid = _list_arg("--omega-grid", args.omega_grid, float)
+    for key, val in vars(args).items():
+        if key not in hints or val is None:
+            continue
+        if get_origin(hints[key]) is list:
+            val = _list_arg("--" + key.replace("_", "-"), val, get_args(hints[key])[0])
+        setattr(cfg, key, val)
     cfg.check()
     return cfg
 

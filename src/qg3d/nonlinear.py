@@ -17,8 +17,8 @@ as one (vphi, eta, side) tensor, whether the targets are the collocation
 grid (Ftilde, the Newton residual, the velocity-form check) or single
 points and full circles (``stream_I``, ``mean_m``, ``f_tilde_circle``).
 It walks that tensor in chunks of vphi rows of about 20k elements, so
-every temporary stays in cache; ``_velocity_batch`` walks the same
-chunks.
+every temporary stays in cache, and the same chunks give the boundary
+velocity U that the velocity-form check needs.
 
 The branch of rotating solutions through the mode-m bifurcation point of
 an equatorially symmetric profile is corrected by a damped Newton
@@ -30,9 +30,10 @@ rest of the Jacobian is exact: ``_stream`` differentiates the closed
 form in its upper limit (the source surface) and in the target radius,
 chunk by chunk, and the chain rule through the radii, the theta-mean
 subtraction and the mode projection is linear.  That partials pass gives
-an iterate its residual, Jacobian and bracket I(f) - (Omega/2) r^2 (its
-I is bitwise the plain pass's); each line-search trial is one plain
-pass.  The velocity-form check reuses the accepted iterate's bracket.
+an iterate its residual and Jacobian (its I is bitwise the plain
+pass's); each line-search trial is one plain pass, which also gives U.
+A converged point takes its velocity-form check from the plain pass of
+the trial that Newton accepted.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
     sqrt((r-c)^2 + q) + c ln(r - c + sqrt((r-c)^2 + q)), with the log
     argument computed cancellation-free on the r < c side.
 
-    With ``partials`` it returns (K, dK/drup, dK/dc, dK/dq):
+    Returns (K, 1/s1), s1 the source-target distance at r = rup.  With
+    ``partials`` it returns (K, dK/drup, dK/dc, dK/dq) instead:
     dK/drup = rup / s1 (the integrand at the upper limit),
     dK/dc = ln(z1/z0) - rup / s1 and
     dK/dq = (1/s1 - 1/s0) / 2 + c (1/(s1 z1) - 1/(s0 z0)) / 2,
@@ -193,9 +195,9 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
     z0 = np.maximum(np.where(c <= 0, t0, q / t0), 1e-300)
     log_ratio = np.log(z1 / z0)
     K = s1 - s0 + c * log_ratio
-    if not partials:
-        return K
     i1 = 1.0 / s1
+    if not partials:
+        return K, i1
     i0 = 1.0 / s0
     d_rup = rup * i1
     return K, d_rup, log_ratio - d_rup, 0.5 * ((i1 - i0) + c * (i1 / z1 - i0 / z0))
@@ -219,13 +221,13 @@ def _row_chunks(col: Collocation, n_rows: int) -> list:
 def _angle_tables(col: Collocation, thetas: np.ndarray):
     """Tables over the flattened (theta target, +/- eta half-range) sides:
     side s = 2 j + bit holds the angle theta_j + eta (bit 0) or
-    theta_j - eta (bit 1).  Returns cos(k m angle) and sin(k m angle),
+    theta_j - eta (bit 1).  Returns cos(k m angle) and k m sin(k m angle),
     shape (n_modes, n_eta, n_sides), and exp(i angle), (n_eta, n_sides)."""
     signs = np.array([1.0, -1.0])
     angle = thetas[:, None, None] + signs[None, :, None] * col.eta_nodes[None, None, :]
     angle = angle.reshape(2 * len(thetas), len(col.eta_nodes)).T
-    km = np.arange(1, col.n_modes + 1) * col.m
-    return np.cos(km[:, None, None] * angle), np.sin(km[:, None, None] * angle), np.exp(1j * angle)
+    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)[:, None, None]
+    return np.cos(km * angle), km * np.sin(km * angle), np.exp(1j * angle)
 
 
 def _mirrored(col: Collocation, P: np.ndarray) -> np.ndarray:
@@ -245,14 +247,17 @@ def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarr
 
 
 def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray, R: np.ndarray, partials: bool = False):
-    """I(f) at the boundary targets (phis[i], thetas[j]) of radii R,
-    shape (len(phis), len(thetas)).
+    """(I(f), U) at the boundary targets (phis[i], thetas[j]) of radii R,
+    each of shape (len(phis), len(thetas)).
 
     Per phi target, blocks of at most n_theta theta targets and both eta
     half-ranges form the sides of one (vphi, eta, side) tensor, which is
     walked in chunks of vphi rows (``_row_chunks``) so that every
-    temporary stays cache-sized.  With ``partials`` the same chunks also
-    give the two partials of I, returned after it:
+    temporary stays cache-sized.  The same chunks give the horizontal
+    boundary velocity U = U1 + i U2 as the surface integral
+    (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist, with the
+    1/dist of the closed form.  With ``partials`` the chunks give the two
+    partials of I instead of U, returned after I:
 
     * source: dI/dhalf[k, n], shape (len(phis), len(thetas), n_modes,
       half), for the mirrored coefficients of ``Perturbation.from_half``;
@@ -262,13 +267,15 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
       c = rho cos(eta) and q = rho^2 sin^2(eta) + (cos phi - cos vphi)^2.
     """
     blocks = [slice(b, b + col.n_theta) for b in range(0, len(thetas), col.n_theta)]
-    ang_cos = [_angle_tables(col, thetas[blk])[0] for blk in blocks]
+    tables = [_angle_tables(col, thetas[blk]) for blk in blocks]
     cos_e = np.cos(col.eta_nodes)
     sin_e = np.sin(col.eta_nodes)
     out = np.empty(R.shape)
     if partials:
         d_src = np.empty(R.shape + (col.n_modes, col.half))
         d_rho = np.empty(R.shape)
+    else:
+        U = np.empty(R.shape, dtype=complex)
     for i, phi in enumerate(phis):
         geom = col.geometry(phi)
         Fk = f.coeffs @ geom["P"].T
@@ -279,7 +286,7 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
             WP = geom["wsin"][:, None] * _mirrored(col, geom["P"])
             Wc = W * cos_e[None, :]
             Ws = W * sin_e[None, :] ** 2
-        for blk, tab in zip(blocks, ang_cos):
+        for blk, (tab, km_sin, exp_eta) in zip(blocks, tables):
             rho = np.repeat(R[i, blk], 2)                          # (n_sides,)
             cs = rho[None, :] * cos_e[:, None]                     # (n_eta, n_sides)
             rs2 = (rho[None, :] * sin_e[:, None]) ** 2
@@ -291,11 +298,17 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
                 H = np.zeros((col.half, cs.size))
                 tc = np.zeros(n_sides)
                 tq = np.zeros(n_sides)
+            else:
+                y_dr = np.zeros(cs.shape)
+                y_r = np.zeros(cs.shape)
             for sl in _row_chunks(col, len(r0q)):
                 q = rs2[None, :, :] + dcos2[sl, None, None]
                 rup = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], tab)
                 if not partials:
-                    K = _radial_closed_form(rup, cs[None, :, :], q)
+                    K, inv = _radial_closed_form(rup, cs[None, :, :], q)
+                    dr = -np.einsum("kp,kes->pes", Fk[:, sl], km_sin)
+                    y_dr += np.einsum("pe,pes->es", W[sl], dr * inv)
+                    y_r += np.einsum("pe,pes->es", W[sl], rup * inv)
                 else:
                     K, d_rup, d_c, d_q = _radial_closed_form(rup, cs[None, :, :], q, partials=True)
                     H += WP[sl].T @ d_rup.reshape(len(d_rup), -1)
@@ -303,14 +316,17 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
                     tq += Ws[sl].ravel() @ d_q.reshape(-1, n_sides)
                 acc += np.einsum("pe,pes->s", W[sl], K)
             out[i, blk] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
-            if partials:
+            if not partials:
+                acc_u = np.sum((y_dr + 1j * y_r) * exp_eta, axis=0)
+                U[i, blk] = (acc_u[0::2] + acc_u[1::2]) / (4.0 * np.pi)
+            else:
                 G = np.einsum("e,kes,nes->skn", col.eta_w, tab, H.reshape(col.half, *cs.shape))
                 d_src[i, blk] = -(G[0::2] + G[1::2]) / (4.0 * np.pi)
                 t = tc + 2.0 * rho * tq
                 d_rho[i, blk] = -(t[0::2] + t[1::2]) / (4.0 * np.pi)
     if partials:
         return out, d_src, d_rho
-    return out
+    return out, U
 
 
 def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float) -> float:
@@ -322,23 +338,22 @@ def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float)
     if rmin <= 0.0:
         raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
     phis, thetas = np.array([float(phi)]), np.array([float(theta)])
-    return float(_stream(col, f, phis, thetas, _radii(col, f, phis, thetas))[0, 0])
+    return float(_stream(col, f, phis, thetas, _radii(col, f, phis, thetas))[0][0, 0])
 
 
 def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, partials: bool = False):
-    """(r, I(f) - (Omega/2) r^2) at the boundary targets (phis[i],
-    thetas[j]), each of shape (len(phis), len(thetas)).  With
-    ``partials`` the source and target-radius partials of I that
-    ``_stream`` returns follow, from the same pass."""
+    """(r, I(f) - (Omega/2) r^2, U) at the boundary targets (phis[i],
+    thetas[j]), each of shape (len(phis), len(thetas)), U the boundary
+    velocity of ``_stream``.  With ``partials`` the source and
+    target-radius partials of I that ``_stream`` returns take U's place,
+    from the same pass."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r = _radii(col, f, phis, thetas)
     if np.min(r) <= 0.0:
         raise GeometryError("reconstructed radius is non-positive at a target")
-    if not partials:
-        return r, _stream(col, f, phis, thetas, r) - 0.5 * omega * r ** 2
-    I, d_src, d_rho = _stream(col, f, phis, thetas, r, partials=True)
-    return r, I - 0.5 * omega * r ** 2, d_src, d_rho
+    I, *rest = _stream(col, f, phis, thetas, r, partials=partials)
+    return (r, I - 0.5 * omega * r ** 2, *rest)
 
 
 def _theta_modes(col: Collocation, samples: np.ndarray) -> np.ndarray:
@@ -354,29 +369,23 @@ def _stationarity(col: Collocation, bracket: np.ndarray) -> np.ndarray:
     return (bracket - bracket.mean(axis=1, keepdims=True)) / scale
 
 
-def f_tilde(col: Collocation, omega: float, f: Perturbation | None, with_bracket: bool = False):
-    """Ftilde(Omega, f) sampled on the collocation targets.
+def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
+    """Ftilde(Omega, f) sampled on the collocation targets, shape
+    (half, n_theta).
 
     The theta mean over the full period equals the mean over the cosine
     sample set (the sampling kills every retained nonzero mode exactly),
-    so the output has exactly vanishing discrete theta average.  With
-    ``with_bracket`` it returns (samples, bracket), the stream bracket
-    I(f) - (Omega/2) r^2 on the same targets that the samples come from.
+    so the output has exactly vanishing discrete theta average.
     """
     if f is None:
         f = Perturbation.zero(col)
-    _, bracket = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
-    samples = _stationarity(col, bracket)
-    return (samples, bracket) if with_bracket else samples
+    return _stationarity(col, _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)[1])
 
 
-def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None, with_bracket: bool = False):
+def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
     """cos(k m theta) coefficients of Ftilde, k = 1..n_modes, shape
-    (n_modes, half); with ``with_bracket``, (modes, bracket) as in
-    ``f_tilde``."""
-    samples, bracket = f_tilde(col, omega, f, with_bracket=True)
-    modes = _theta_modes(col, samples)
-    return (modes, bracket) if with_bracket else modes
+    (n_modes, half)."""
+    return _theta_modes(col, f_tilde(col, omega, f))
 
 
 def f_tilde_circle(col: Collocation, omega: float, f: Perturbation | None, phi_t: float, n_samples: int = 64) -> np.ndarray:
@@ -405,64 +414,31 @@ def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float,
 # --------------------------------------------------------------------------
 
 
-def _velocity_batch(col: Collocation, f: Perturbation, r_targets: np.ndarray) -> np.ndarray:
-    """Horizontal boundary velocity (U1 + i U2) on the collocation
-    targets via the surface integral
-    (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist, walked in
-    the chunks of vphi rows that ``_stream`` uses."""
-    ang_cos, ang_sin, exp_eta = _angle_tables(col, col.theta)
-    km_sin = (np.arange(1, col.n_modes + 1) * col.m).astype(float)[:, None, None] * ang_sin
-    cos_e = np.cos(col.eta_nodes)
-    sin_e = np.sin(col.eta_nodes)
-    out = np.empty((col.half, col.n_theta), dtype=complex)
-    for t in range(col.half):
-        geom = col.geometry(col.kctx.nodes[t])
-        r0q = geom["r0q"]
-        dcos2 = geom["dcos"] ** 2
-        Fk = f.coeffs @ geom["P"].T
-        W = geom["wsin"][:, None] * col.eta_w[None, :]
-        rho = np.repeat(r_targets[t], 2)
-        cs = rho[None, :] * cos_e[:, None]
-        rs2 = (rho[None, :] * sin_e[:, None]) ** 2
-        y_dr = np.zeros(cs.shape)
-        y_r = np.zeros(cs.shape)
-        for sl in _row_chunks(col, len(r0q)):
-            r = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], ang_cos)
-            dr = -np.einsum("kp,kes->pes", Fk[:, sl], km_sin)
-            inv = 1.0 / np.sqrt((r - cs[None, :, :]) ** 2 + rs2[None, :, :] + dcos2[sl, None, None])
-            y_dr += np.einsum("pe,pes->es", W[sl], dr * inv)
-            y_r += np.einsum("pe,pes->es", W[sl], r * inv)
-        acc = np.sum((y_dr + 1j * y_r) * exp_eta, axis=0)
-        out[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
-    return out
+def _velocity_form(col: Collocation, omega: float, f: Perturbation, R, bracket, U) -> float:
+    """Max-norm of the velocity form plus the theta derivative of the
+    bracket, from the radii, bracket and boundary velocity of one plain
+    ``_bracket`` pass on the collocation grid."""
+    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
+    dbracket = -np.einsum("kt,k,kj->tj", _theta_modes(col, bracket), km, col.sin_ktheta)
+    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.half], km, col.sin_ktheta)
+    phase = np.exp(1j * col.theta)[None, :]
+    Fv = np.real((U - 1j * omega * R * phase) * (1j * dth_r + R) * np.conj(phase))
+    return float(np.max(np.abs(Fv + dbracket)))
 
 
-def velocity_residual(col: Collocation, omega: float, f: Perturbation | None, bracket: np.ndarray | None = None) -> float:
+def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) -> float:
     """Defect of the velocity-form/stream-form equivalence on the grid.
 
     The velocity form Re[(U_h - i Omega r e^{i theta})
     (i d_theta r + r) e^{-i theta}] equals minus the theta derivative of
     the stream bracket for any shape; the returned number is the max-norm
-    of their sum, a pure quadrature-consistency measure.  A ``bracket``
-    already evaluated for (Omega, f) on the collocation grid, such as
-    ``BranchPoint.bracket``, is used as given instead of recomputed.
+    of their sum, a pure quadrature-consistency measure.  U_h and the
+    bracket come from one plain ``_stream`` pass; ``newton_correct``
+    applies the same algebra to the pass that accepted its point.
     """
     if f is None:
         f = Perturbation.zero(col)
-    phis = col.kctx.nodes[: col.half]
-    if bracket is None:
-        R, bracket = _bracket(col, omega, f, phis, col.theta)
-    else:
-        R = _radii(col, f, phis, col.theta)
-    k = np.arange(1, col.n_modes + 1)
-    km = (k * col.m).astype(float)
-    bmodes = _theta_modes(col, bracket)
-    dbracket = -np.einsum("kt,k,kj->tj", bmodes, km, col.sin_ktheta)
-    U = _velocity_batch(col, f, R)
-    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.half], km, col.sin_ktheta)
-    phase = np.exp(1j * col.theta)[None, :]
-    Fv = np.real((U - 1j * omega * R * phase) * (1j * dth_r + R) * np.conj(phase))
-    return float(np.max(np.abs(Fv + dbracket)))
+    return _velocity_form(col, omega, f, *_bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta))
 
 
 def _axis_velocity_grid(sinv, cosv, wphi, eta, weta, r_vals, dr_vals, z: float) -> complex:
@@ -507,7 +483,7 @@ class BranchPoint:
     f: Perturbation
     residual: float
     iterations: int
-    bracket: np.ndarray  # I(f) - (Omega/2) r^2 on the collocation grid
+    velocity_residual: float  # ``velocity_residual`` at (omega, f)
 
 
 @dataclass(frozen=True)
@@ -547,15 +523,15 @@ def _system(modes: np.ndarray, t: np.ndarray, u: np.ndarray, s: float) -> np.nda
 
 
 def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
-    """(``_system`` at u, bracket): one plain pass through
-    ``f_tilde_modes``, with the bracket as in ``f_tilde``."""
+    """(``_system`` at u, (R, bracket, U)): one plain ``_bracket`` pass,
+    whose radii, bracket and boundary velocity follow the residual."""
     half, omega = _unpack(col, u)
-    modes, bracket = f_tilde_modes(col, omega, Perturbation.from_half(col, half), with_bracket=True)
-    return _system(modes, _amplitude_row(col, hstar), u, s), bracket
+    plain = _bracket(col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta)
+    return _system(_theta_modes(col, _stationarity(col, plain[1])), _amplitude_row(col, hstar), u, s), plain
 
 
 def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
-    """(residual, J, bracket): ``_residual`` at u and its exact Jacobian,
+    """(residual, J): ``_residual`` at u and its exact Jacobian,
     all from one ``_stream`` pass with partials (its I is bitwise the
     plain pass's).  The target radius R[i, j] = r0(phi_i) +
     sum_k f_k(phi_i) cos(k m theta_j) moves with the half coefficients
@@ -576,7 +552,7 @@ def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
     J[:n, :n] = _theta_modes(col, _stationarity(col, d_src)).reshape(n, n)
     J[:n, n] = _theta_modes(col, _stationarity(col, -0.5 * R ** 2)).ravel()
     J[n] = t
-    return res, J, bracket
+    return res, J
 
 
 def newton_correct(
@@ -590,18 +566,20 @@ def newton_correct(
     amplitude row t of ``_amplitude_row``.
 
     One ``_stream`` pass with partials at the initial guess gives its
-    residual, bracket and exact Jacobian (``_jacobian``).  A non-finite
-    residual there is a SolverError.  Each iteration takes the Newton
-    step and halves it until the residual max-norm falls, at most
-    DAMP_MAX times; each trial is one plain pass.  Only an accepted step
-    that leaves the residual above NEWTON_TOL is linearized again, so an
-    iteration that converges costs one partials pass and one plain pass.
-    Returns (BranchPoint, jacobian): the point carries the bracket of its
-    accepted iterate, and the Jacobian is that of the last
+    residual and exact Jacobian (``_jacobian``).  A non-finite residual
+    there is a SolverError.  Each iteration takes the Newton step and
+    halves it until the residual max-norm falls, at most DAMP_MAX times;
+    each trial is one plain pass.  Only an accepted step that leaves the
+    residual above NEWTON_TOL is linearized again, so an iteration that
+    converges costs one partials pass and one plain pass.  The point's
+    ``velocity_residual`` comes from the radii, bracket and boundary
+    velocity of the accepted trial's plain pass; an initial guess that
+    already meets NEWTON_TOL takes one plain pass for them.  Returns
+    (BranchPoint, jacobian), the Jacobian that of the last
     linearization, at the initial guess if it already met NEWTON_TOL.
     """
     u = _pack(f_init.coeffs[:, : col.half], omega_init)
-    res, jac, bracket = _jacobian(col, u, s, hstar)
+    res, jac = _jacobian(col, u, s, hstar)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
         # NaN fails every comparison: the loop below would accept it
@@ -619,7 +597,7 @@ def newton_correct(
         scale = 1.0
         for _ in range(DAMP_MAX + 1):
             try:
-                new_res, new_bracket = _residual(col, u + scale * delta, s, hstar)
+                new_res, new_plain = _residual(col, u + scale * delta, s, hstar)
             except GeometryError:
                 scale *= 0.5
                 continue
@@ -629,12 +607,14 @@ def newton_correct(
         else:
             raise SolverError(f"newton_correct: line search failed (residual {rnorm:.3e})")
         u = u + scale * delta
-        res, bracket = new_res, new_bracket
+        res, plain = new_res, new_plain
         rnorm = float(np.max(np.abs(res)))
         it += 1
     half, omega = _unpack(col, u)
     f = Perturbation.from_half(col, half)
-    return BranchPoint(float(s), omega, f, rnorm, it, bracket), jac
+    if not it:
+        plain = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
+    return BranchPoint(float(s), omega, f, rnorm, it, _velocity_form(col, omega, f, *plain)), jac
 
 
 def continue_branch(

@@ -31,7 +31,8 @@ F_n and F_n' are good to about 1e-15 relative for n <= 8 on the whole of
 [0, 1).
 
 Extended precision (``np.longdouble``) is left only in the logarithmic
-case of the general ``gauss_2f1``.
+case of the general ``gauss_2f1``, which hands the parameters of F_n
+itself to ``f_n``.
 
 The gamma function is the standard library's ``math.gamma`` behind a
 pole check; the digamma cores are implemented here (asymptotic series
@@ -195,7 +196,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
     (closed form Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))).
     Near x = 1 the logarithmic connection expansion is used when
     c = a + b, and the two-term connection formula when c - a - b is
-    not an integer.
+    not an integer.  F_n's own parameters (n+1/2, n+1/2; 2n+1), integer
+    n >= 1, with 0 <= x < 1 go to ``f_n``, which needs no long double.
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
     if _is_nonpositive_integer(c):
@@ -209,6 +211,10 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
         return gamma_fn(c) * gamma_fn(s) / (gamma_fn(c - a) * gamma_fn(c - b))
     if a == 0.0 or b == 0.0:
         return 1.0
+    n = a - 0.5
+    if a == b and c == 2.0 * a and n >= 1.0 and n == int(n) and x >= 0.0:
+        # F_n, which ``f_n_many`` evaluates in double precision
+        return f_n(int(n), x)
     log_case = abs(s) <= 1e-12
     if log_case:
         x_switch = 1.0 - _log_case_switch(a, b)

@@ -14,18 +14,18 @@ from qg3d.nonlinear import (
     _amplitude_row,
     _angle_tables,
     _axis_velocity_grid,
-    _bracket,
     _jacobian,
     _pack,
     _radial_closed_form,
     _radii,
     _residual,
     _stream,
-    _velocity_batch,
     f_tilde_circle,
     newton_correct,
 )
 from qg3d.quadrature import periodic_trapezoid
+
+from oracles import rotating_ellipsoid
 
 
 def small_perturbation(col, eps=0.02, mode=0):
@@ -354,31 +354,35 @@ class TestExactJacobian:
             c = rho[None, :] * np.cos(col.eta_nodes)[:, None]
             qq = (rho[None, :] * np.sin(col.eta_nodes)[:, None]) ** 2 + geom["dcos"][:, None, None] ** 2
             rup = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", f.coeffs @ geom["P"].T, cos_tab)
-            acc = self.exact_sides(geom, col, _radial_closed_form(rup, c[None], qq))
+            acc = self.exact_sides(geom, col, _radial_closed_form(rup, c[None], qq)[0])
             ref[i] = -(acc[0::2] + acc[1::2]) / (4.0 * np.pi)
-        assert np.max(np.abs(_stream(col, f, phis, col.theta, R) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(_stream(col, f, phis, col.theta, R)[0] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("rows", [12, 150])
     def test_chunked_velocity_matches_whole_tensor(self, col_sphere_m2, monkeypatch, rows):
         col = col_sphere_m2
         self.use_chunk_rows(col, monkeypatch, rows)
         f = random_perturbation(col, 8)
+        phis = col.kctx.nodes[: col.half]
         R = f.radius_at_nodes(col.theta)[: col.half]
-        cos_tab, sin_tab, exp_eta = _angle_tables(col, col.theta)
-        km = np.arange(1, col.n_modes + 1) * col.m
+        # sides s = 2 j + bit at the angles theta_j + eta (bit 0), theta_j - eta (bit 1)
+        angle = np.stack([col.theta[:, None] + col.eta_nodes, col.theta[:, None] - col.eta_nodes], axis=1)
+        angle = angle.reshape(2 * col.n_theta, len(col.eta_nodes)).T
+        km = np.arange(1, col.n_modes + 1)[:, None, None] * col.m
+        cos_tab, km_sin, exp_eta = np.cos(km * angle), km * np.sin(km * angle), np.exp(1j * angle)
         ref = np.empty(R.shape, dtype=complex)
         for t in range(col.half):
-            geom = col.geometry(col.kctx.nodes[t])
+            geom = col.geometry(phis[t])
             Fk = f.coeffs @ geom["P"].T
             rho = np.repeat(R[t], 2)
             r = geom["r0q"][:, None, None] + np.einsum("kp,kes->pes", Fk, cos_tab)
-            dr = -np.einsum("kp,k,kes->pes", Fk, km, sin_tab)
+            dr = -np.einsum("kp,kes->pes", Fk, km_sin)
             d2 = (r - rho * np.cos(col.eta_nodes)[:, None]) ** 2 + (rho * np.sin(col.eta_nodes)[:, None]) ** 2 \
                 + geom["dcos"][:, None, None] ** 2
             integrand = (dr + 1j * r) * exp_eta / np.sqrt(d2)
             acc = self.exact_sides(geom, col, integrand.real) + 1j * self.exact_sides(geom, col, integrand.imag)
             ref[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
-        assert np.max(np.abs(_velocity_batch(col, f, R) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(_stream(col, f, phis, col.theta, R)[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def collocation(profile, n_nodes, n_modes):
@@ -389,7 +393,7 @@ def collocation(profile, n_nodes, n_modes):
 
 class TestOneStreamPass:
     """Newton takes its residual from the Jacobian's stream pass, and the
-    velocity check reuses the bracket of the accepted iterate."""
+    velocity check from the plain pass of the accepted iterate."""
 
     @staticmethod
     def count_streams(monkeypatch):
@@ -417,7 +421,7 @@ class TestOneStreamPass:
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
-        res, _, _ = _jacobian(col, u, 0.003, bp.eigfun)
+        res, _ = _jacobian(col, u, 0.003, bp.eigfun)
         assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun)[0])
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
@@ -427,26 +431,25 @@ class TestOneStreamPass:
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
         t = _amplitude_row(col, bp.eigfun)
-        res, J, bracket = _jacobian(col, u, 0.003, bp.eigfun)
+        res, J = _jacobian(col, u, 0.003, bp.eigfun)
         assert np.array_equal(J[-1], t)
         assert res[-1] == t @ u - 0.003
         w = col.kctx.weights
         pair = np.sum(f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
         assert abs(t @ u - pair) <= 1e-15 * abs(pair)
-        plain, plain_bracket = _residual(col, u, 0.003, bp.eigfun)
-        assert np.array_equal(res, plain)
-        assert np.array_equal(bracket, plain_bracket)
+        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun)[0])
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
     def test_velocity_residual_reuses_bracket_bitwise(self, profile, n_nodes, n_modes):
+        # the point's check comes from the accepted line-search pass, or
+        # from one plain pass when Newton needs no iteration (s = 0)
         col = collocation(profile, n_nodes, n_modes)
-        bp, f0 = self.tangent_point(col, 0.003)
-        pt, _ = newton_correct(col, 0.003, bp.omega_m, f0, bp.eigfun)
-        assert pt.iterations >= 1
-        _, bracket = _bracket(col, pt.omega, pt.f, col.kctx.nodes[: col.half], col.theta)
-        assert np.array_equal(pt.bracket, bracket)
-        reused = q.velocity_residual(col, pt.omega, pt.f, bracket=pt.bracket)
-        assert reused == q.velocity_residual(col, pt.omega, pt.f)
+        for s, converged_at_start in ((0.003, False), (0.0, True)):
+            bp, f0 = self.tangent_point(col, s)
+            pt, _ = newton_correct(col, s, bp.omega_m, f0, bp.eigfun)
+            assert (pt.iterations == 0) == converged_at_start
+            assert pt.velocity_residual == q.velocity_residual(col, pt.omega, pt.f)
+            assert pt.velocity_residual <= 1e-5
 
     def test_jacobian_geometry_guard(self, col_sphere_m2):
         # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
@@ -473,18 +476,14 @@ class TestOneStreamPass:
         assert point.iterations == 0
         assert np.array_equal(jac, _jacobian(col, u, 0.0, bp.eigfun)[1])
 
+    def test_standalone_velocity_residual_is_one_plain_pass(self, col_sphere_m2, monkeypatch):
+        f = small_perturbation(col_sphere_m2, 0.02)
+        calls = self.count_streams(monkeypatch)
+        assert q.velocity_residual(col_sphere_m2, 0.13, f) <= 1e-5
+        assert calls == [False]
+
     def test_cli_velocity_check_makes_no_stream_pass(self, tmp_path, monkeypatch):
         calls = self.count_streams(monkeypatch)
-        inside = []
-        check = nonlinear.velocity_residual
-
-        def watched(*args, **kwargs):
-            start = len(calls)
-            out = check(*args, **kwargs)
-            inside.append(calls[start:])
-            return out
-
-        monkeypatch.setattr(nonlinear, "velocity_residual", watched)
         code = cli.main([
             "branch", "--profile", "sphere", "--phi-nodes", "8", "--de-level", "7", "--modes", "2",
             "--s-max", "0.006", "--steps", "2", "--outdir", str(tmp_path / "out"),
@@ -493,4 +492,23 @@ class TestOneStreamPass:
         points = json.loads((tmp_path / "out" / "branch.json").read_text())["points"]
         assert len(points) == 2
         assert all(pt["velocity_form_residual"] <= 1e-5 for pt in points)
-        assert inside == [[], []]
+        iterations = sum(pt["iterations"] for pt in points)
+        assert iterations >= 2
+        # per iteration: the Jacobian's partials pass, then the accepted plain trial
+        assert calls == [True, False] * iterations
+
+
+class TestEllipsoidOracle:
+    def test_criterion_12_branch_is_the_rotating_ellipsoid(self, sphere):
+        # the m = 2 branch of the sphere is the family of rotating
+        # ellipsoids, up to NEWTON_TOL and the mode truncation (measured
+        # 1.9e-9 in Omega and 3.6e-8 in f_k)
+        kctx = q.KernelContext(sphere, 24, 7, 3)
+        col = q.Collocation(kctx, m=2, n_modes=4, n_theta=8)
+        bp = q.find_bifurcation_point(kctx, 2)
+        branch = q.continue_branch(col, 0.03, 10, bp=bp)
+        assert branch.failed_at is None and len(branch.points) == 10
+        for pt in branch.points:
+            omega, c = rotating_ellipsoid(pt.s, kctx.nodes, bp.eigfun, kctx.weights, 1.0, col.n_modes)
+            assert abs(pt.omega - omega) <= 4e-9
+            assert np.max(np.abs(pt.f.coeffs - c[:, None] * np.sin(kctx.nodes))) <= 8e-8

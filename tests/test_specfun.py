@@ -371,3 +371,20 @@ class TestRingIntegral:
             ring_integral(1, 1.0, 1.0)
         with pytest.raises(DomainError):
             ring_integral(-1, 1.0, 2.0)
+
+    def test_fn_case_without_long_double(self, monkeypatch):
+        # 2F1(n+1/2, n+1/2; 2n+1; z) is F_n, evaluated in double precision:
+        # with long double equal to double the general logarithmic
+        # connection read 8.8e-11 here, the 80-bit one 7.0e-14
+        import mpmath
+
+        monkeypatch.setattr(specfun, "_LD", np.float64)
+        with mpmath.workdps(40):
+            for n in range(1, 9):
+                coef = mpmath.rf(0.5, n) ** 2 * 2 ** n / mpmath.factorial(2 * n)
+                for A in (1.01, 1.05, 1.2, 1.5, 5.0):
+                    z = 2.0 / (1.0 + A)
+                    hyp = mpmath.hyp2f1(n + 0.5, n + 0.5, 2 * n + 1, mpmath.mpf(z))
+                    assert abs(gauss_2f1(n + 0.5, n + 0.5, 2 * n + 1, z) - hyp) <= 1e-14 * hyp
+                    ring = 2 * mpmath.pi / (1 + mpmath.mpf(A)) ** (n + 0.5) * coef * hyp
+                    assert abs(ring_integral(n, 1.0, A) - ring) <= 5e-14 * ring
