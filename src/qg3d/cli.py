@@ -112,18 +112,13 @@ def _load_profile(spec: str):
     raise DomainError(f"unknown profile spec {spec!r} (expected sphere | spheroid:a | file:path)")
 
 
-def _context(cfg: RunConfig, profile) -> KernelContext:
-    return KernelContext(profile, cfg.phi_nodes, cfg.de_level, cfg.direct_level, cfg.guard)
-
-
 def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
     _write_json(outdir / f"{command}_config.json", asdict(cfg))
 
 
-def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
-    report = validate_profile(profile, max(cfg.phi_nodes, 64))
-    c_lo, c_hi = arc_chord_constants(profile)
-    ctx = _context(cfg, profile)
+def cmd_validate(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
+    report = validate_profile(ctx.profile, max(cfg.phi_nodes, 64))
+    c_lo, c_hi = arc_chord_constants(ctx.profile)
     payload = {
         "profile": cfg.profile,
         "h1_ok": report.h1_ok,
@@ -143,8 +138,7 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def cmd_dispersion(cfg: RunConfig, profile, outdir: Path) -> int:
-    ctx = _context(cfg, profile)
+def cmd_dispersion(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     curve = spectral.dispersion_scan(ctx, cfg.modes, cfg.omega_grid)
     _write_csv(outdir / "dispersion.csv", ["n", "omega", "lambda", "iterations", "residual"], curve.rows)
     _write_csv(
@@ -155,8 +149,7 @@ def cmd_dispersion(cfg: RunConfig, profile, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
-    ctx = _context(cfg, profile)
+def cmd_bifpoints(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     # one walk builds B_1 (for nu0) and every B_m; modes below 1 are left to
     # the solvers, which reject them after the outputs of the modes listed
     # before them are written
@@ -174,8 +167,7 @@ def cmd_bifpoints(cfg: RunConfig, profile, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_eigenfun(cfg: RunConfig, profile, outdir: Path) -> int:
-    ctx = _context(cfg, profile)
+def cmd_eigenfun(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     ctx.mode_b_matrices([1, *(m for m in cfg.modes if m >= 1)])
     reports = {}
     for m in cfg.modes:
@@ -198,8 +190,7 @@ def cmd_eigenfun(cfg: RunConfig, profile, outdir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
-    ctx = _context(cfg, profile)
+def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     m = cfg.modes[0] if cfg.modes else 2
     if m < 2:
         raise DomainError(f"branch: mode m must be >= 2, got {m}")
@@ -240,8 +231,7 @@ def cmd_branch(cfg: RunConfig, profile, outdir: Path) -> int:
     return EXIT_OK if branch.failed_at is None else EXIT_SOLVER
 
 
-def cmd_crosscheck(cfg: RunConfig, profile, outdir: Path) -> int:
-    ctx = _context(cfg, profile)
+def cmd_crosscheck(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     results = {}
     for n in cfg.modes:
         h = np.sin(ctx.nodes) ** 2
@@ -333,7 +323,8 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, outdir, args.command)
-        return COMMANDS[args.command](cfg, profile, outdir)
+        ctx = KernelContext(profile, cfg.phi_nodes, cfg.de_level, cfg.direct_level, cfg.guard)
+        return COMMANDS[args.command](cfg, ctx, outdir)
     except OSError as exc:
         print(f"qg3d: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -23,13 +23,14 @@ velocity U that the velocity-form check needs.
 The branch of rotating solutions through the mode-m bifurcation point of
 an equatorially symmetric profile is corrected by a damped Newton
 iteration on the bordered collocation system {mode coefficients of
-Ftilde = 0, t . u = s} in the unknowns u = (f-coefficients on the
-equatorial half grid, Omega).  The amplitude s = <f_1, h*_m> is the one
-linear constraint row t: residual entry t . u - s, Jacobian row t.  The
-rest of the Jacobian is exact: ``_stream`` differentiates the closed
-form in its upper limit (the source surface) and in the target radius,
-chunk by chunk, and the chain rule through the radii, the theta-mean
-subtraction and the mode projection is linear.  That partials pass gives
+Ftilde = 0, t . u = sigma} in the unknowns u = (f-coefficients on the
+equatorial half grid, Omega), for any linear constraint row t: residual
+entry t . u - sigma, Jacobian row t.  Only ``continue_branch`` knows
+that its row is the amplitude s = <f_1, h*_m>.  The rest of the
+Jacobian is exact: ``_stream`` differentiates the closed form in its
+upper limit (the source surface) and in the target radius, chunk by
+chunk, and the chain rule through the radii, the theta-mean subtraction
+and the mode projection is linear.  That partials pass gives
 an iterate its residual and Jacobian (its I is bitwise the plain
 pass's); each line-search trial is one plain pass, which also gives U.
 A converged point takes its velocity-form check from the plain pass of
@@ -329,11 +330,20 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
     return out, U
 
 
+def _check_conforms(col: Collocation, f: Perturbation) -> None:
+    """``_stream`` and ``_radii`` read m and the mode count from the
+    collocation, so a perturbation of another m or shape is an error."""
+    shape = (col.n_modes, col.kctx.n_nodes)
+    if f.m != col.m or f.coeffs.shape != shape:
+        raise DomainError(f"perturbation (m={f.m}, {f.coeffs.shape}) does not fit the collocation (m={col.m}, {shape})")
+
+
 def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float) -> float:
     """Volume potential of the deformed body at the boundary point
     (r(phi, theta) e^{i theta}, cos phi)."""
     if f is None:
         f = Perturbation.zero(col)
+    _check_conforms(col, f)
     rmin = float(np.min(f.radius_at_nodes(np.linspace(0, 2 * np.pi, 32, endpoint=False))))
     if rmin <= 0.0:
         raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
@@ -347,6 +357,7 @@ def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, part
     velocity of ``_stream``.  With ``partials`` the source and
     target-radius partials of I that ``_stream`` returns take U's place,
     from the same pass."""
+    _check_conforms(col, f)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r = _radii(col, f, phis, thetas)
@@ -476,7 +487,8 @@ def velocity_on_axis(col: Collocation, f: Perturbation | None, z_list) -> float:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged point of the bifurcated branch."""
+    """One converged point of the bifurcated branch; ``s`` is the value
+    sigma of its constraint row, the amplitude on ``continue_branch``."""
 
     s: float
     omega: float
@@ -492,7 +504,6 @@ class Branch:
 
     m: int
     omega_ref: float
-    s_grid: np.ndarray
     points: list
     failed_at: int | None = None
     message: str = ""
@@ -517,20 +528,20 @@ def _amplitude_row(col: Collocation, hstar: np.ndarray) -> np.ndarray:
     return t
 
 
-def _system(modes: np.ndarray, t: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
-    """Residual of the square system: the Ftilde modes, then t @ u - s."""
-    return np.concatenate([modes.ravel(), [t @ u - s]])
+def _system(modes: np.ndarray, t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
+    """Residual of the square system: the Ftilde modes, then t @ u - sigma."""
+    return np.concatenate([modes.ravel(), [t @ u - sigma]])
 
 
-def _residual(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
+def _residual(col: Collocation, u: np.ndarray, t: np.ndarray, sigma: float):
     """(``_system`` at u, (R, bracket, U)): one plain ``_bracket`` pass,
     whose radii, bracket and boundary velocity follow the residual."""
     half, omega = _unpack(col, u)
     plain = _bracket(col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta)
-    return _system(_theta_modes(col, _stationarity(col, plain[1])), _amplitude_row(col, hstar), u, s), plain
+    return _system(_theta_modes(col, _stationarity(col, plain[1])), t, u, sigma), plain
 
 
-def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
+def _jacobian(col: Collocation, u: np.ndarray, t: np.ndarray, sigma: float):
     """(residual, J): ``_residual`` at u and its exact Jacobian,
     all from one ``_stream`` pass with partials (its I is bitwise the
     plain pass's).  The target radius R[i, j] = r0(phi_i) +
@@ -538,13 +549,12 @@ def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
     of its own node alone (the mirrored interpolation rows of the grid
     nodes are the identity), so d bracket = dI_src + (dI/drho - Omega R)
     cos(k m theta_j) on the diagonal n = i.  The Omega column is the
-    modes of -R^2/2; the last row is the amplitude row t."""
+    modes of -R^2/2; the last row is the constraint row t."""
     half, omega = _unpack(col, u)
     R, bracket, d_src, d_rho = _bracket(
         col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta, partials=True
     )
-    t = _amplitude_row(col, hstar)
-    res = _system(_theta_modes(col, _stationarity(col, bracket)), t, u, s)
+    res = _system(_theta_modes(col, _stationarity(col, bracket)), t, u, sigma)
     diag = np.arange(col.half)
     d_src[diag, :, :, diag] += (d_rho - omega * R)[:, :, None] * col.cos_ktheta.T[None, :, :]
     n = col.n_modes * col.half
@@ -555,31 +565,26 @@ def _jacobian(col: Collocation, u: np.ndarray, s: float, hstar: np.ndarray):
     return res, J
 
 
-def newton_correct(
-    col: Collocation,
-    s: float,
-    omega_init: float,
-    f_init: Perturbation,
-    hstar: np.ndarray,
-):
-    """Damped Newton solve of {Ftilde modes = 0, t . u = s}, with the
-    amplitude row t of ``_amplitude_row``.
+def newton_correct(col: Collocation, t: np.ndarray, sigma: float, u: np.ndarray):
+    """Damped Newton solve of the bordered system {Ftilde modes = 0,
+    t @ u = sigma} for any constraint row t, from the initial guess u.
 
-    One ``_stream`` pass with partials at the initial guess gives its
-    residual and exact Jacobian (``_jacobian``).  A non-finite residual
-    there is a SolverError.  Each iteration takes the Newton step and
-    halves it until the residual max-norm falls, at most DAMP_MAX times;
-    each trial is one plain pass.  Only an accepted step that leaves the
-    residual above NEWTON_TOL is linearized again, so an iteration that
-    converges costs one partials pass and one plain pass.  The point's
-    ``velocity_residual`` comes from the radii, bracket and boundary
-    velocity of the accepted trial's plain pass; an initial guess that
-    already meets NEWTON_TOL takes one plain pass for them.  Returns
-    (BranchPoint, jacobian), the Jacobian that of the last
-    linearization, at the initial guess if it already met NEWTON_TOL.
+    u and t are in ``_pack``'s layout, of length n_modes * half + 1: the
+    half-grid f_k, k = 1..n_modes, row-major, then Omega.  One
+    ``_stream`` pass with partials at the initial guess gives its
+    residual and exact Jacobian (``_jacobian``); a non-finite residual
+    there is a SolverError.  Each iteration halves the Newton step until
+    the residual max-norm falls, at most DAMP_MAX times, each trial one
+    plain pass.  Only an accepted step that leaves the residual above
+    NEWTON_TOL is linearized again.  The point's ``velocity_residual``
+    comes from the accepted trial's plain pass (one plain pass if the
+    initial guess already meets NEWTON_TOL).  Returns (BranchPoint with
+    s = sigma, the Jacobian of the last linearization).
     """
-    u = _pack(f_init.coeffs[:, : col.half], omega_init)
-    res, jac = _jacobian(col, u, s, hstar)
+    size = col.n_modes * col.half + 1
+    if np.shape(t) != (size,) or np.shape(u) != (size,):
+        raise DomainError(f"newton_correct: t and u must have length {size}, got {np.shape(t)} and {np.shape(u)}")
+    res, jac = _jacobian(col, u, t, sigma)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
         # NaN fails every comparison: the loop below would accept it
@@ -589,7 +594,7 @@ def newton_correct(
         if it >= NEWTON_MAXIT:
             raise SolverError(f"newton_correct: no convergence in {NEWTON_MAXIT} iterations (residual {rnorm:.3e})")
         if it:
-            jac = _jacobian(col, u, s, hstar)[1]
+            jac = _jacobian(col, u, t, sigma)[1]
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -597,7 +602,7 @@ def newton_correct(
         scale = 1.0
         for _ in range(DAMP_MAX + 1):
             try:
-                new_res, new_plain = _residual(col, u + scale * delta, s, hstar)
+                new_res, new_plain = _residual(col, u + scale * delta, t, sigma)
             except GeometryError:
                 scale *= 0.5
                 continue
@@ -614,22 +619,20 @@ def newton_correct(
     f = Perturbation.from_half(col, half)
     if not it:
         plain = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
-    return BranchPoint(float(s), omega, f, rnorm, it, _velocity_form(col, omega, f, *plain)), jac
+    return BranchPoint(float(sigma), omega, f, rnorm, it, _velocity_form(col, omega, f, *plain)), jac
 
 
-def continue_branch(
-    col: Collocation,
-    s_max: float,
-    steps: int,
-    bp: BifurcationPoint | None = None,
-) -> Branch:
+def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationPoint | None = None) -> Branch:
     """Predictor-corrector continuation of the mode-m branch on the
     uniform amplitude grid s_k = k s_max / steps.
 
-    The first predictor is the tangent s h*_m cos(m theta) at Omega_m;
-    later predictors extrapolate the previous two points linearly.  A
-    corrector failure truncates the branch and records the step.  s_max
-    must be finite and nonzero.
+    The corrector is ``newton_correct`` with the amplitude row t of
+    ``_amplitude_row`` and sigma = s_k.  The predictor works on packed
+    vectors, and the tangent (h*_m in mode 1, Omega_m) is a seed point at
+    s = 1.  With one previous point (the seed before the first step) it
+    scales that point's f part by s / s_prev and keeps its Omega; with
+    two it extrapolates them linearly.  A corrector failure truncates
+    the branch and records the step.  s_max must be finite and nonzero.
     """
     if steps < 1:
         raise DomainError(f"continue_branch: steps must be >= 1, got {steps}")
@@ -638,27 +641,23 @@ def continue_branch(
     if bp is None:
         bp = find_bifurcation_point(col.kctx, col.m)
     hstar = np.asarray(bp.eigfun, dtype=float)
-    s_grid = s_max * np.arange(1, steps + 1) / steps
+    t = _amplitude_row(col, hstar)
+    seed = np.zeros(len(t))
+    seed[: col.half] = hstar[: col.half]
+    seed[-1] = bp.omega_m
+    trail = [(1.0, seed)]  # (s, packed u) of the seed and the points
     points: list[BranchPoint] = []
-    for k, s in enumerate(s_grid):
+    for k, s in enumerate(s_max * np.arange(1, steps + 1) / steps):
         if len(points) >= 2:
-            p1, p0 = points[-1], points[-2]
-            w = (s - p0.s) / (p1.s - p0.s)
-            coeffs = p0.f.coeffs + w * (p1.f.coeffs - p0.f.coeffs)
-            omega0 = p0.omega + w * (p1.omega - p0.omega)
-            f0 = Perturbation(col.m, coeffs, col.kctx)
-        elif points:
-            scale = s / points[-1].s
-            f0 = Perturbation(col.m, scale * points[-1].f.coeffs, col.kctx)
-            omega0 = points[-1].omega
+            (s0, u0), (s1, u1) = trail[-2:]
+            u = u0 + (s - s0) / (s1 - s0) * (u1 - u0)
         else:
-            coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
-            coeffs[0] = s * hstar
-            f0 = Perturbation(col.m, coeffs, col.kctx)
-            omega0 = bp.omega_m
+            s1, u1 = trail[-1]
+            u = np.append(s / s1 * u1[:-1], u1[-1])
         try:
-            point, _ = newton_correct(col, s, omega0, f0, hstar)
+            point, _ = newton_correct(col, t, s, u)
         except (SolverError, GeometryError) as exc:
-            return Branch(col.m, bp.omega_m, s_grid, points, failed_at=k, message=str(exc))
+            return Branch(col.m, bp.omega_m, points, failed_at=k, message=str(exc))
         points.append(point)
-    return Branch(col.m, bp.omega_m, s_grid, points)
+        trail.append((point.s, _pack(point.f.coeffs[:, : col.half], point.omega)))
+    return Branch(col.m, bp.omega_m, points)

@@ -138,11 +138,11 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def _series_2f1(a: float, b: float, c: float, x: float, max_terms: int):
+def _series_2f1(a: float, b: float, c: float, x: float):
     """Plain power series; returns (value, converged)."""
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    for k in range(MAX_SERIES_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
         if abs(term) <= _SERIES_EXIT * abs(total) and k > 2:
@@ -150,7 +150,7 @@ def _series_2f1(a: float, b: float, c: float, x: float, max_terms: int):
     return total, False
 
 
-def _log_connection(a: float, b: float, u, max_terms: int):
+def _log_connection(a: float, b: float, u):
     """2F1(a, b; a+b; 1-u) for 0 < u < 1 via the endpoint expansion
 
         pref * sum_k e_k u^k (d_k - ln u),
@@ -171,7 +171,7 @@ def _log_connection(a: float, b: float, u, max_terms: int):
     sum_d = np.zeros_like(u)
     sum_p = np.zeros_like(u)
     converged = False
-    for k in range(max_terms):
+    for k in range(MAX_SERIES_TERMS):
         sum_d += e * d * p
         sum_p += e * p
         e *= (a + k) * (b + k) / _LD((k + 1.0) ** 2)
@@ -189,7 +189,7 @@ def _log_case_switch(a: float, b: float) -> float:
     return min(0.25, 14.0 / max(a * b, 1.0))
 
 
-def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIES_TERMS) -> float:
+def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; x) for real parameters.
 
     Supported arguments: -1 < x < 1, plus x = 1 when c - a - b > 0
@@ -221,13 +221,13 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
     else:
         x_switch = 0.75
     if x <= x_switch:
-        val, ok = _series_2f1(a, b, c, x, max_terms)
+        val, ok = _series_2f1(a, b, c, x)
         if not ok:
-            raise AccuracyError(f"gauss_2f1: series not converged in {max_terms} terms at x={x}")
+            raise AccuracyError(f"gauss_2f1: series not converged in {MAX_SERIES_TERMS} terms at x={x}")
         return val
     u = 1.0 - x
     if log_case:
-        val, ok = _log_connection(a, b, u, max_terms)
+        val, ok = _log_connection(a, b, u)
         if not ok:
             raise AccuracyError(f"gauss_2f1: connection series not converged at x={x}")
         return float(val[0])
@@ -236,16 +236,16 @@ def gauss_2f1(a: float, b: float, c: float, x: float, max_terms: int = MAX_SERIE
         g2 = gamma_fn(c) * gamma_fn(-s) * _rgamma(a) * _rgamma(b)
         f1 = f2 = 0.0
         if g1 != 0.0:
-            f1, ok = _series_2f1(a, b, 1.0 - s, u, max_terms)
+            f1, ok = _series_2f1(a, b, 1.0 - s, u)
             if not ok:
                 raise AccuracyError(f"gauss_2f1: connection series not converged at x={x}")
         if g2 != 0.0:
-            f2, ok = _series_2f1(c - a, c - b, 1.0 + s, u, max_terms)
+            f2, ok = _series_2f1(c - a, c - b, 1.0 + s, u)
             if not ok:
                 raise AccuracyError(f"gauss_2f1: connection series not converged at x={x}")
         return g1 * f1 + g2 * u ** s * f2
     # integer nonzero c-a-b: fall back to the series (slow convergence)
-    val, ok = _series_2f1(a, b, c, x, max_terms)
+    val, ok = _series_2f1(a, b, c, x)
     if not ok:
         raise AccuracyError(
             f"gauss_2f1: series not converged at x={x} (integer c-a-b={s}, no connection branch)"

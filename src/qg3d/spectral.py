@@ -114,7 +114,6 @@ def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     h = v / np.sqrt(K.mu_w)
     if float(np.sum(h * K.mu_w)) < 0.0:
         h = -h
-        v = -v
     return SpectralResult(K.n, K.omega, lam, h, it, resid)
 
 

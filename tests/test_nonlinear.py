@@ -46,6 +46,12 @@ def random_perturbation(col, seed, eps=0.01):
     return Perturbation(col.m, coeffs, col.kctx)
 
 
+def correct_amplitude(col, s, omega, f0, hstar):
+    """``newton_correct`` on the amplitude row of h* at s, from the guess
+    (f0, omega)."""
+    return newton_correct(col, _amplitude_row(col, hstar), s, _pack(f0.coeffs[:, : col.half], omega))
+
+
 class TestStreamPotential:
     def test_sphere_interior_potential(self, col_sphere_m2):
         for phi in (0.4, 1.0, np.pi / 2):
@@ -76,6 +82,22 @@ class TestStreamPotential:
         bad = Perturbation(2, coeffs, col_sphere_m2.kctx)
         with pytest.raises(GeometryError):
             q.stream_I(col_sphere_m2, bad, 1.0, 0.0)
+
+    def test_perturbation_must_fit_the_collocation(self, col_sphere_m2):
+        # the stream integral reads m and the mode count from the
+        # collocation: an m = 3 perturbation must not pass for an m = 2 one
+        col = col_sphere_m2
+        coeffs = small_perturbation(col, 0.02).coeffs
+        misfits = [
+            Perturbation(3, coeffs, col.kctx),
+            Perturbation(2, coeffs[:2], col.kctx),
+            Perturbation(2, coeffs[:, :-1], col.kctx),
+        ]
+        for bad in misfits:
+            with pytest.raises(DomainError, match="collocation"):
+                q.f_tilde(col, 0.1, bad)
+            with pytest.raises(DomainError, match="collocation"):
+                q.stream_I(col, bad, 1.0, 0.2)
 
     def test_bracket_guard_on_every_path(self, col_sphere_m2):
         # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
@@ -213,7 +235,7 @@ class TestNewtonAndBranch:
     def test_zero_amplitude_echo(self, col_sphere_m2):
         bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
         f0 = Perturbation.zero(col_sphere_m2)
-        point, _ = newton_correct(col_sphere_m2, 0.0, bp.omega_m, f0, bp.eigfun)
+        point, _ = correct_amplitude(col_sphere_m2, 0.0, bp.omega_m, f0, bp.eigfun)
         assert point.iterations == 0
         assert point.omega == bp.omega_m
         assert np.all(point.f.coeffs == 0.0)
@@ -267,7 +289,31 @@ class TestNewtonAndBranch:
         # a NaN residual fails every comparison, so it must not pass for converged
         bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
         with pytest.raises(SolverError, match="non-finite"):
-            newton_correct(col_sphere_m2, float("nan"), bp.omega_m, Perturbation.zero(col_sphere_m2), bp.eigfun)
+            correct_amplitude(col_sphere_m2, float("nan"), bp.omega_m, Perturbation.zero(col_sphere_m2), bp.eigfun)
+
+    def test_omega_row_corrects_to_the_branch_point(self, sphere):
+        # any constraint row: fixing Omega at a branch point's value, Newton
+        # returns from a perturbed guess to that point's shape
+        col = q.Collocation(q.KernelContext(sphere, 8, 7, 3), m=2)
+        pt = q.continue_branch(col, 0.03, 3).points[-1]
+        t = np.zeros(col.n_modes * col.half + 1)
+        t[-1] = 1.0
+        u = _pack(1.02 * pt.f.coeffs[:, : col.half], pt.omega)
+        point, _ = newton_correct(col, t, pt.omega, u)
+        assert point.residual <= nonlinear.NEWTON_TOL
+        assert 1 <= point.iterations <= 4
+        assert point.omega == pt.omega
+        assert point.s == pt.omega
+        assert np.max(np.abs(point.f.coeffs - pt.f.coeffs)) <= 1e-7
+
+    def test_newton_correct_rejects_wrong_lengths(self, col_sphere_m2):
+        col = col_sphere_m2
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        t = _amplitude_row(col, bp.eigfun)
+        u = _pack(np.zeros((col.n_modes, col.half)), bp.omega_m)
+        for bad_t, bad_u in ((t[:-1], u), (t, u[:-1]), (t, np.append(u, 0.0))):
+            with pytest.raises(DomainError, match="length"):
+                newton_correct(col, bad_t, 0.0, bad_u)
 
     @pytest.mark.parametrize("s_max", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_degenerate_s_max_rejected(self, col_sphere_m2, s_max):
@@ -285,13 +331,13 @@ class TestExactJacobian:
     """The analytic Newton Jacobian and the chunked (vphi, eta, side) walk."""
 
     @staticmethod
-    def central_jacobian(col, u, hstar, step=1e-5):
+    def central_jacobian(col, u, t, step=1e-5):
         J = np.empty((len(u), len(u)))
         for c in range(len(u)):
             up, um = u.copy(), u.copy()
             up[c] += step
             um[c] -= step
-            J[:, c] = (_residual(col, up, 0.0, hstar)[0] - _residual(col, um, 0.0, hstar)[0]) / (2.0 * step)
+            J[:, c] = (_residual(col, up, t, 0.0)[0] - _residual(col, um, t, 0.0)[0]) / (2.0 * step)
         return J
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
@@ -302,8 +348,9 @@ class TestExactJacobian:
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
-        J = _jacobian(col, u, 0.0, bp.eigfun)[1]
-        ref = self.central_jacobian(col, u, bp.eigfun)
+        t = _amplitude_row(col, bp.eigfun)
+        J = _jacobian(col, u, t, 0.0)[1]
+        ref = self.central_jacobian(col, u, t)
         for c in range(len(u)):
             assert np.max(np.abs(J[:, c] - ref[:, c])) <= 1e-6 * np.max(np.abs(ref[:, c]))
 
@@ -312,7 +359,7 @@ class TestExactJacobian:
         # Omega_m its k = 1 block annihilates h*_m: exact, not FD, oracles
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
-        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), 0.0, bp.eigfun)[1]
+        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), _amplitude_row(col, bp.eigfun), 0.0)[1]
         blocks = J[:-1, :-1].reshape(col.n_modes, col.half, col.n_modes, col.half)
         J11 = blocks[0, :, 0, :]
         h = bp.eigfun[: col.half]
@@ -421,8 +468,9 @@ class TestOneStreamPass:
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
-        res, _ = _jacobian(col, u, 0.003, bp.eigfun)
-        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun)[0])
+        t = _amplitude_row(col, bp.eigfun)
+        res, _ = _jacobian(col, u, t, 0.003)
+        assert np.array_equal(res, _residual(col, u, t, 0.003)[0])
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
     def test_amplitude_is_one_constraint_row(self, profile, n_nodes, n_modes):
@@ -431,13 +479,13 @@ class TestOneStreamPass:
         f = random_perturbation(col, 5)
         u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
         t = _amplitude_row(col, bp.eigfun)
-        res, J = _jacobian(col, u, 0.003, bp.eigfun)
+        res, J = _jacobian(col, u, t, 0.003)
         assert np.array_equal(J[-1], t)
         assert res[-1] == t @ u - 0.003
         w = col.kctx.weights
         pair = np.sum(f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
         assert abs(t @ u - pair) <= 1e-15 * abs(pair)
-        assert np.array_equal(res, _residual(col, u, 0.003, bp.eigfun)[0])
+        assert np.array_equal(res, _residual(col, u, t, 0.003)[0])
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
     def test_velocity_residual_reuses_bracket_bitwise(self, profile, n_nodes, n_modes):
@@ -446,7 +494,7 @@ class TestOneStreamPass:
         col = collocation(profile, n_nodes, n_modes)
         for s, converged_at_start in ((0.003, False), (0.0, True)):
             bp, f0 = self.tangent_point(col, s)
-            pt, _ = newton_correct(col, s, bp.omega_m, f0, bp.eigfun)
+            pt, _ = correct_amplitude(col, s, bp.omega_m, f0, bp.eigfun)
             assert (pt.iterations == 0) == converged_at_start
             assert pt.velocity_residual == q.velocity_residual(col, pt.omega, pt.f)
             assert pt.velocity_residual <= 1e-5
@@ -458,13 +506,13 @@ class TestOneStreamPass:
         half = np.zeros((col.n_modes, col.half))
         half[0] = -2.0 * np.sin(col.kctx.nodes[: col.half])
         with pytest.raises(GeometryError):
-            _jacobian(col, _pack(half, 0.1), 0.0, bp.eigfun)
+            _jacobian(col, _pack(half, 0.1), _amplitude_row(col, bp.eigfun), 0.0)
 
     def test_one_iteration_one_pass_each(self, monkeypatch):
         col = collocation("sphere", 8, 4)
         bp, f0 = self.tangent_point(col, 0.003)
         calls = self.count_streams(monkeypatch)
-        pt, _ = newton_correct(col, 0.003, bp.omega_m, f0, bp.eigfun)
+        pt, _ = correct_amplitude(col, 0.003, bp.omega_m, f0, bp.eigfun)
         assert pt.iterations == 1
         assert sorted(calls) == [False, True]
 
@@ -472,9 +520,10 @@ class TestOneStreamPass:
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
         u = _pack(np.zeros((col.n_modes, col.half)), bp.omega_m)
-        point, jac = newton_correct(col, 0.0, bp.omega_m, Perturbation.zero(col), bp.eigfun)
+        t = _amplitude_row(col, bp.eigfun)
+        point, jac = newton_correct(col, t, 0.0, u)
         assert point.iterations == 0
-        assert np.array_equal(jac, _jacobian(col, u, 0.0, bp.eigfun)[1])
+        assert np.array_equal(jac, _jacobian(col, u, t, 0.0)[1])
 
     def test_standalone_velocity_residual_is_one_plain_pass(self, col_sphere_m2, monkeypatch):
         f = small_perturbation(col_sphere_m2, 0.02)
@@ -512,3 +561,32 @@ class TestEllipsoidOracle:
             omega, c = rotating_ellipsoid(pt.s, kctx.nodes, bp.eigfun, kctx.weights, 1.0, col.n_modes)
             assert abs(pt.omega - omega) <= 4e-9
             assert np.max(np.abs(pt.f.coeffs - c[:, None] * np.sin(kctx.nodes))) <= 8e-8
+
+    @staticmethod
+    def oracle_errors(monkeypatch, profile, a0, n_modes, n_theta):
+        """(Omega error, shape error) against the ellipsoid of one step to
+        s = 0.03, with Newton driven to round-off."""
+        monkeypatch.setattr(nonlinear, "NEWTON_TOL", 1e-13)
+        kctx = q.KernelContext(profile, 24, 7, 3)
+        col = q.Collocation(kctx, m=2, n_modes=n_modes, n_theta=n_theta)
+        bp = q.find_bifurcation_point(kctx, 2)
+        branch = q.continue_branch(col, 0.03, 1, bp=bp)
+        assert branch.failed_at is None
+        pt = branch.points[0]
+        omega, c = rotating_ellipsoid(pt.s, kctx.nodes, bp.eigfun, kctx.weights, a0, n_modes)
+        return abs(pt.omega - omega), float(np.max(np.abs(pt.f.coeffs - c[:, None] * np.sin(kctx.nodes))))
+
+    def test_converges_in_n_modes(self, sphere, monkeypatch):
+        # past Newton's tolerance the error is the mode truncation (measured
+        # 1.2e-10 and 3.5e-8 with 4 modes, 3.5e-15 and 1.0e-10 with 6)
+        om4, shape4 = self.oracle_errors(monkeypatch, sphere, 1.0, 4, 8)
+        om6, shape6 = self.oracle_errors(monkeypatch, sphere, 1.0, 6, 12)
+        assert om6 <= 2e-14 and shape6 <= 5e-10
+        assert om6 <= 1e-2 * om4 and shape6 <= 1e-2 * shape4
+
+    @pytest.mark.parametrize("a,omega_tol,shape_tol", [(2.0, 1e-14, 5e-13), (0.7, 5e-11, 5e-8)])
+    def test_spheroid_bases(self, monkeypatch, a, omega_tol, shape_tol):
+        # the base r0 = a sin(phi) gives the ellipsoids of mean g = a
+        # (measured 1.7e-15 and 9.6e-14 at a = 2, 9.9e-12 and 1.5e-8 at 0.7)
+        om, shape = self.oracle_errors(monkeypatch, q.make_profile("spheroid", a=a), a, 6, 12)
+        assert om <= omega_tol and shape <= shape_tol
