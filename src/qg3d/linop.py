@@ -110,7 +110,7 @@ def gateaux_check(col: Collocation, omega: float, h, eps_list) -> np.ndarray:
     hv = _as_values(h)
     if len(hv) != col.kctx.n_nodes:
         raise DomainError("gateaux_check: h must be sampled on the collocation kernel grid")
-    lin = apply_mode_hyper(col.kctx, col.m, omega, hv).values[: col.half]
+    lin = apply_mode_hyper(col.kctx, col.m, omega, hv).values[: col.n_phi]
     target = lin[:, None] * np.cos(col.m * col.theta)[None, :]
     base = f_tilde(col, omega, None)
     errs = []

@@ -20,12 +20,13 @@ It walks that tensor in chunks of vphi rows of about 20k elements, so
 every temporary stays in cache, and the same chunks give the boundary
 velocity U that the velocity-form check needs.
 
-The branch of rotating solutions through the mode-m bifurcation point of
-an equatorially symmetric profile is corrected by a damped Newton
-iteration on the bordered collocation system {mode coefficients of
-Ftilde = 0, t . u = sigma} in the unknowns u = (f-coefficients on the
-equatorial half grid, Omega), for any linear constraint row t: residual
-entry t . u - sigma, Jacobian row t.  Only ``continue_branch`` knows
+The branch of rotating solutions through the mode-m bifurcation point is
+corrected by a damped Newton iteration on the bordered collocation
+system {mode coefficients of Ftilde = 0, t . u = sigma} in the unknowns
+u = (f-coefficients on the solved phi targets, Omega), for any linear
+constraint row t: residual entry t . u - sigma, Jacobian row t.  Which
+phi targets are solved, and how they unfold to the kernel grid, is
+decided by ``Collocation.E`` alone.  Only ``continue_branch`` knows
 that its row is the amplitude s = <f_1, h*_m>.  The rest of the
 Jacobian is exact: ``_stream`` differentiates the closed form in its
 upper limit (the source surface) and in the target radius, chunk by
@@ -77,10 +78,13 @@ DAMP_MAX = 6
 class Collocation:
     """Collocation discretization of the nonlinear functional.
 
-    phi targets are the equatorial half of the kernel-context grid
-    (symmetry unfolds the other half); theta targets are the n_theta
-    first-kind cosine sample points of one half m-period, which
-    diagonalize the retained cos(k m theta) modes, k = 1..n_modes.
+    phi targets are the first n_phi nodes of the kernel-context grid,
+    and the unfold matrix E, shape (N, n_phi), maps values on them to
+    the whole grid.  On a mirrored context (``KernelContext.mirrored``)
+    E = I[:, :N/2] + I[::-1, :N/2] gives node N - 1 - n the value of
+    node n, which halves the solve; otherwise E = I_N.  theta targets are the n_theta first-kind cosine sample
+    points of one half m-period, which diagonalize the retained
+    cos(k m theta) modes, k = 1..n_modes.
     """
 
     kctx: KernelContext
@@ -101,11 +105,10 @@ class Collocation:
             raise DomainError(
                 f"Collocation: n_modes must be < n_theta, got n_modes={self.n_modes}, n_theta={self.n_theta}"
             )
-        if not self.kctx.mirrored:
-            # only the northern phi targets are solved, the rest mirrored
-            raise DomainError("Collocation: the profile is not symmetric about the equator")
         N = self.kctx.n_nodes
-        self.half = N // 2
+        eye = np.eye(N)
+        self.E = eye[:, : N // 2] + eye[::-1, : N // 2] if self.kctx.mirrored else eye
+        self.n_phi = self.E.shape[1]
         j = np.arange(self.n_theta)
         self.theta = (2 * j + 1) * np.pi / (2 * self.m * self.n_theta)
         rule = double_exponential(0.0, np.pi, self.eta_level)
@@ -145,9 +148,10 @@ class Perturbation:
         return cls(col.m, np.zeros((col.n_modes, col.kctx.n_nodes)), col.kctx)
 
     @classmethod
-    def from_half(cls, col: Collocation, half_coeffs: np.ndarray) -> "Perturbation":
-        full = np.concatenate([half_coeffs, half_coeffs[:, ::-1]], axis=1)
-        return cls(col.m, full, col.kctx)
+    def unfold(cls, col: Collocation, coeffs: np.ndarray) -> "Perturbation":
+        """The perturbation whose f_k on the solved phi targets are the
+        rows of coeffs, shape (n_modes, n_phi), unfolded by ``col.E``."""
+        return cls(col.m, coeffs @ col.E.T, col.kctx)
 
     def radius_at_nodes(self, theta) -> np.ndarray:
         """r(phi_i, theta) on the kernel grid for an array of theta."""
@@ -231,13 +235,6 @@ def _angle_tables(col: Collocation, thetas: np.ndarray):
     return np.cos(km * angle), km * np.sin(km * angle), np.exp(1j * angle)
 
 
-def _mirrored(col: Collocation, P: np.ndarray) -> np.ndarray:
-    """Interpolation rows acting on the equatorial half coefficients:
-    ``Perturbation.from_half`` mirrors them, so column n gathers the
-    grid columns n and N - 1 - n."""
-    return P[:, : col.half] + P[:, ::-1][:, : col.half]
-
-
 def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """r(phi_i, theta_j) with f_k interpolated barycentrically at phi_i
     (an exact one-hot row at a grid node), shape (len(phis), len(thetas))."""
@@ -260,10 +257,11 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
     1/dist of the closed form.  With ``partials`` the chunks give the two
     partials of I instead of U, returned after I:
 
-    * source: dI/dhalf[k, n], shape (len(phis), len(thetas), n_modes,
-      half), for the mirrored coefficients of ``Perturbation.from_half``;
-      dK/drup is contracted with the cos(k m angle) table and the
-      mirrored interpolation rows (``_mirrored``);
+    * source: dI/du[k, n], shape (len(phis), len(thetas), n_modes,
+      n_phi), for the coefficients u on the solved phi targets that
+      ``Perturbation.unfold`` spreads over the grid; dK/drup is contracted
+      with the cos(k m angle) table and the unfolded interpolation rows
+      P @ E;
     * target radius: dI/drho, shape (len(phis), len(thetas)), through
       c = rho cos(eta) and q = rho^2 sin^2(eta) + (cos phi - cos vphi)^2.
     """
@@ -273,7 +271,7 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
     sin_e = np.sin(col.eta_nodes)
     out = np.empty(R.shape)
     if partials:
-        d_src = np.empty(R.shape + (col.n_modes, col.half))
+        d_src = np.empty(R.shape + (col.n_modes, col.n_phi))
         d_rho = np.empty(R.shape)
     else:
         U = np.empty(R.shape, dtype=complex)
@@ -284,7 +282,7 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
         dcos2 = geom["dcos"] ** 2
         W = geom["wsin"][:, None] * col.eta_w[None, :]            # (n_vphi, n_eta)
         if partials:
-            WP = geom["wsin"][:, None] * _mirrored(col, geom["P"])
+            WP = geom["wsin"][:, None] * (geom["P"] @ col.E)
             Wc = W * cos_e[None, :]
             Ws = W * sin_e[None, :] ** 2
         for blk, (tab, km_sin, exp_eta) in zip(blocks, tables):
@@ -294,9 +292,9 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
             n_sides = len(rho)
             acc = np.zeros(n_sides)
             if partials:
-                # H[n, (eta, side)]: vphi sums of wsin P_mirrored dK/drup;
+                # H[n, (eta, side)]: vphi sums of wsin (P @ E) dK/drup;
                 # tc, tq: (vphi, eta) sums of W cos(eta) dK/dc, W sin^2(eta) dK/dq
-                H = np.zeros((col.half, cs.size))
+                H = np.zeros((col.n_phi, cs.size))
                 tc = np.zeros(n_sides)
                 tq = np.zeros(n_sides)
             else:
@@ -321,7 +319,7 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
                 acc_u = np.sum((y_dr + 1j * y_r) * exp_eta, axis=0)
                 U[i, blk] = (acc_u[0::2] + acc_u[1::2]) / (4.0 * np.pi)
             else:
-                G = np.einsum("e,kes,nes->skn", col.eta_w, tab, H.reshape(col.half, *cs.shape))
+                G = np.einsum("e,kes,nes->skn", col.eta_w, tab, H.reshape(col.n_phi, *cs.shape))
                 d_src[i, blk] = -(G[0::2] + G[1::2]) / (4.0 * np.pi)
                 t = tc + 2.0 * rho * tq
                 d_rho[i, blk] = -(t[0::2] + t[1::2]) / (4.0 * np.pi)
@@ -331,11 +329,14 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
 
 
 def _check_conforms(col: Collocation, f: Perturbation) -> None:
-    """``_stream`` and ``_radii`` read m and the mode count from the
-    collocation, so a perturbation of another m or shape is an error."""
+    """``_stream`` and ``_radii`` read m, the mode count and the kernel
+    context from the collocation, so a perturbation of another m, shape
+    or context is an error."""
     shape = (col.n_modes, col.kctx.n_nodes)
     if f.m != col.m or f.coeffs.shape != shape:
         raise DomainError(f"perturbation (m={f.m}, {f.coeffs.shape}) does not fit the collocation (m={col.m}, {shape})")
+    if f.kctx is not col.kctx:
+        raise DomainError("perturbation is sampled on another kernel context than the collocation's")
 
 
 def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float) -> float:
@@ -369,20 +370,20 @@ def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, part
 
 def _theta_modes(col: Collocation, samples: np.ndarray) -> np.ndarray:
     """cos(k m theta) coefficients, k = 1..n_modes, of samples on the
-    collocation theta targets (axis 1), shape (n_modes, half, ...)."""
+    collocation theta targets (axis 1), shape (n_modes, n_phi, ...)."""
     return (2.0 / col.n_theta) * np.einsum("tj...,kj->kt...", samples, col.cos_ktheta)
 
 
 def _stationarity(col: Collocation, bracket: np.ndarray) -> np.ndarray:
     """Ftilde from the bracket on the collocation grid (axis 0 phi,
     axis 1 theta): the theta mean subtracted, divided by r0."""
-    scale = col.kctx.r0v[: col.half].reshape((-1,) + (1,) * (bracket.ndim - 1))
+    scale = col.kctx.r0v[: col.n_phi].reshape((-1,) + (1,) * (bracket.ndim - 1))
     return (bracket - bracket.mean(axis=1, keepdims=True)) / scale
 
 
 def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
     """Ftilde(Omega, f) sampled on the collocation targets, shape
-    (half, n_theta).
+    (n_phi, n_theta).
 
     The theta mean over the full period equals the mean over the cosine
     sample set (the sampling kills every retained nonzero mode exactly),
@@ -390,12 +391,12 @@ def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarra
     """
     if f is None:
         f = Perturbation.zero(col)
-    return _stationarity(col, _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)[1])
+    return _stationarity(col, _bracket(col, omega, f, col.kctx.nodes[: col.n_phi], col.theta)[1])
 
 
 def f_tilde_modes(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarray:
     """cos(k m theta) coefficients of Ftilde, k = 1..n_modes, shape
-    (n_modes, half)."""
+    (n_modes, n_phi)."""
     return _theta_modes(col, f_tilde(col, omega, f))
 
 
@@ -431,7 +432,7 @@ def _velocity_form(col: Collocation, omega: float, f: Perturbation, R, bracket, 
     ``_bracket`` pass on the collocation grid."""
     km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
     dbracket = -np.einsum("kt,k,kj->tj", _theta_modes(col, bracket), km, col.sin_ktheta)
-    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.half], km, col.sin_ktheta)
+    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.n_phi], km, col.sin_ktheta)
     phase = np.exp(1j * col.theta)[None, :]
     Fv = np.real((U - 1j * omega * R * phase) * (1j * dth_r + R) * np.conj(phase))
     return float(np.max(np.abs(Fv + dbracket)))
@@ -449,7 +450,7 @@ def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) ->
     """
     if f is None:
         f = Perturbation.zero(col)
-    return _velocity_form(col, omega, f, *_bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta))
+    return _velocity_form(col, omega, f, *_bracket(col, omega, f, col.kctx.nodes[: col.n_phi], col.theta))
 
 
 def _axis_velocity_grid(sinv, cosv, wphi, eta, weta, r_vals, dr_vals, z: float) -> complex:
@@ -509,22 +510,21 @@ class Branch:
     message: str = ""
 
 
-def _pack(half_coeffs: np.ndarray, omega: float) -> np.ndarray:
-    return np.concatenate([half_coeffs.ravel(), [omega]])
+def _pack(coeffs: np.ndarray, omega: float) -> np.ndarray:
+    return np.concatenate([coeffs.ravel(), [omega]])
 
 
 def _unpack(col: Collocation, u: np.ndarray):
-    half = u[:-1].reshape(col.n_modes, col.half)
-    return half, float(u[-1])
+    return u[:-1].reshape(col.n_modes, col.n_phi), float(u[-1])
 
 
 def _amplitude_row(col: Collocation, hstar: np.ndarray) -> np.ndarray:
     """The amplitude s = <f_1, h*>_w / <h*, h*>_w as a row t on the
-    unknowns, t @ u = s: f_1 is mirrored from its half, so t holds h* w
-    folded by ``_mirrored``, and zero on the other modes and on Omega."""
+    unknowns, t @ u = s: f_1 is unfolded from the solved phi targets by
+    E, so t holds h* w @ E, and zero on the other modes and on Omega."""
     hw = hstar * col.kctx.weights
-    t = np.zeros(col.n_modes * col.half + 1)
-    t[: col.half] = _mirrored(col, hw[None, :])[0] / np.sum(hstar * hw)
+    t = np.zeros(col.n_modes * col.n_phi + 1)
+    t[: col.n_phi] = hw @ col.E / np.sum(hstar * hw)
     return t
 
 
@@ -536,8 +536,8 @@ def _system(modes: np.ndarray, t: np.ndarray, u: np.ndarray, sigma: float) -> np
 def _residual(col: Collocation, u: np.ndarray, t: np.ndarray, sigma: float):
     """(``_system`` at u, (R, bracket, U)): one plain ``_bracket`` pass,
     whose radii, bracket and boundary velocity follow the residual."""
-    half, omega = _unpack(col, u)
-    plain = _bracket(col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta)
+    coeffs, omega = _unpack(col, u)
+    plain = _bracket(col, omega, Perturbation.unfold(col, coeffs), col.kctx.nodes[: col.n_phi], col.theta)
     return _system(_theta_modes(col, _stationarity(col, plain[1])), t, u, sigma), plain
 
 
@@ -545,19 +545,19 @@ def _jacobian(col: Collocation, u: np.ndarray, t: np.ndarray, sigma: float):
     """(residual, J): ``_residual`` at u and its exact Jacobian,
     all from one ``_stream`` pass with partials (its I is bitwise the
     plain pass's).  The target radius R[i, j] = r0(phi_i) +
-    sum_k f_k(phi_i) cos(k m theta_j) moves with the half coefficients
-    of its own node alone (the mirrored interpolation rows of the grid
-    nodes are the identity), so d bracket = dI_src + (dI/drho - Omega R)
-    cos(k m theta_j) on the diagonal n = i.  The Omega column is the
+    sum_k f_k(phi_i) cos(k m theta_j) moves with the unknowns of its own
+    node alone (a grid node's interpolation row is one-hot, and row
+    i < n_phi of E is the unit row e_i), so d bracket = dI_src + (dI/drho
+    - Omega R) cos(k m theta_j) on the diagonal n = i.  The Omega column is the
     modes of -R^2/2; the last row is the constraint row t."""
-    half, omega = _unpack(col, u)
+    coeffs, omega = _unpack(col, u)
     R, bracket, d_src, d_rho = _bracket(
-        col, omega, Perturbation.from_half(col, half), col.kctx.nodes[: col.half], col.theta, partials=True
+        col, omega, Perturbation.unfold(col, coeffs), col.kctx.nodes[: col.n_phi], col.theta, partials=True
     )
     res = _system(_theta_modes(col, _stationarity(col, bracket)), t, u, sigma)
-    diag = np.arange(col.half)
+    diag = np.arange(col.n_phi)
     d_src[diag, :, :, diag] += (d_rho - omega * R)[:, :, None] * col.cos_ktheta.T[None, :, :]
-    n = col.n_modes * col.half
+    n = col.n_modes * col.n_phi
     J = np.zeros((n + 1, n + 1))
     J[:n, :n] = _theta_modes(col, _stationarity(col, d_src)).reshape(n, n)
     J[:n, n] = _theta_modes(col, _stationarity(col, -0.5 * R ** 2)).ravel()
@@ -569,8 +569,8 @@ def newton_correct(col: Collocation, t: np.ndarray, sigma: float, u: np.ndarray)
     """Damped Newton solve of the bordered system {Ftilde modes = 0,
     t @ u = sigma} for any constraint row t, from the initial guess u.
 
-    u and t are in ``_pack``'s layout, of length n_modes * half + 1: the
-    half-grid f_k, k = 1..n_modes, row-major, then Omega.  One
+    u and t are in ``_pack``'s layout, of length n_modes * n_phi + 1: the
+    f_k on the solved phi targets, k = 1..n_modes, row-major, then Omega.  One
     ``_stream`` pass with partials at the initial guess gives its
     residual and exact Jacobian (``_jacobian``); a non-finite residual
     there is a SolverError.  Each iteration halves the Newton step until
@@ -581,7 +581,7 @@ def newton_correct(col: Collocation, t: np.ndarray, sigma: float, u: np.ndarray)
     initial guess already meets NEWTON_TOL).  Returns (BranchPoint with
     s = sigma, the Jacobian of the last linearization).
     """
-    size = col.n_modes * col.half + 1
+    size = col.n_modes * col.n_phi + 1
     if np.shape(t) != (size,) or np.shape(u) != (size,):
         raise DomainError(f"newton_correct: t and u must have length {size}, got {np.shape(t)} and {np.shape(u)}")
     res, jac = _jacobian(col, u, t, sigma)
@@ -615,10 +615,10 @@ def newton_correct(col: Collocation, t: np.ndarray, sigma: float, u: np.ndarray)
         res, plain = new_res, new_plain
         rnorm = float(np.max(np.abs(res)))
         it += 1
-    half, omega = _unpack(col, u)
-    f = Perturbation.from_half(col, half)
+    coeffs, omega = _unpack(col, u)
+    f = Perturbation.unfold(col, coeffs)
     if not it:
-        plain = _bracket(col, omega, f, col.kctx.nodes[: col.half], col.theta)
+        plain = _bracket(col, omega, f, col.kctx.nodes[: col.n_phi], col.theta)
     return BranchPoint(float(sigma), omega, f, rnorm, it, _velocity_form(col, omega, f, *plain)), jac
 
 
@@ -643,7 +643,7 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
     hstar = np.asarray(bp.eigfun, dtype=float)
     t = _amplitude_row(col, hstar)
     seed = np.zeros(len(t))
-    seed[: col.half] = hstar[: col.half]
+    seed[: col.n_phi] = hstar[: col.n_phi]
     seed[-1] = bp.omega_m
     trail = [(1.0, seed)]  # (s, packed u) of the seed and the points
     points: list[BranchPoint] = []
@@ -659,5 +659,5 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
         except (SolverError, GeometryError) as exc:
             return Branch(col.m, bp.omega_m, points, failed_at=k, message=str(exc))
         points.append(point)
-        trail.append((point.s, _pack(point.f.coeffs[:, : col.half], point.omega)))
+        trail.append((point.s, _pack(point.f.coeffs[:, : col.n_phi], point.omega)))
     return Branch(col.m, bp.omega_m, points)

@@ -224,18 +224,25 @@ class TestBranch:
         result = out / "branch.json"
         assert not result.exists() or "NaN" not in result.read_text()
 
-    def test_asymmetric_profile_exit_2(self, tmp_path):
-        # Collocation solves the northern half of the grid and mirrors it
-        phi = np.linspace(0.0, np.pi, 201)
+    def test_asymmetric_profile_exit_0(self, tmp_path):
+        # a profile without the equatorial mirror solves every phi node;
+        # s -> -s is a half-period shift in theta, so Omega is even in s
+        phi = np.linspace(0.0, np.pi, 401)
         r0 = np.sin(phi) * (1.0 + 0.1 * np.cos(phi))
         csv = tmp_path / "asym.csv"
         csv.write_text("phi,r0\n" + "\n".join(f"{p:.17g},{r:.17g}" for p, r in zip(phi, r0)) + "\n")
-        code, out = run(
-            tmp_path, "branch", "--profile", f"file:{csv}", "--phi-nodes", "16", "--de-level", "6", "--modes", "2",
-            "--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.01", "--steps", "2",
-        )
-        assert code == 2
-        assert not (out / "branch.json").exists()
+        omegas = []
+        for s_max in ("0.01", "-0.01"):
+            code, out = run(
+                tmp_path / s_max, "branch", "--profile", f"file:{csv}", "--phi-nodes", "16", "--de-level", "6",
+                "--modes", "2", "--n-modes", "2", "--theta-nodes", "4", f"--s-max={s_max}", "--steps", "2",
+            )
+            assert code == 0
+            points = json.loads((out / "branch.json").read_text())["points"]
+            assert len(points) == 2
+            assert all(pt["axis_velocity"] <= 1e-14 for pt in points)
+            omegas.append([pt["omega"] for pt in points])
+        assert np.max(np.abs(np.subtract(*omegas))) <= 1e-13
 
 
 class TestCrosscheck:

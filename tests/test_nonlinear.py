@@ -49,7 +49,19 @@ def random_perturbation(col, seed, eps=0.01):
 def correct_amplitude(col, s, omega, f0, hstar):
     """``newton_correct`` on the amplitude row of h* at s, from the guess
     (f0, omega)."""
-    return newton_correct(col, _amplitude_row(col, hstar), s, _pack(f0.coeffs[:, : col.half], omega))
+    return newton_correct(col, _amplitude_row(col, hstar), s, _pack(f0.coeffs[:, : col.n_phi], omega))
+
+
+def collocation(profile, n_nodes, n_modes, de_level=7, n_theta=8):
+    """m = 2 collocation on a named profile; "asym" is the tabulated
+    r0 = sin(phi) (1 + 0.1 cos(phi)), not symmetric about the equator."""
+    if profile == "asym":
+        phi = np.linspace(0.0, np.pi, 401)
+        prof = q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
+    else:
+        name, _, a = profile.partition(":")
+        prof = q.make_profile(name, a=float(a)) if a else q.make_profile(name)
+    return q.Collocation(q.KernelContext(prof, n_nodes, de_level, 3), m=2, n_modes=n_modes, n_theta=n_theta)
 
 
 class TestStreamPotential:
@@ -84,14 +96,16 @@ class TestStreamPotential:
             q.stream_I(col_sphere_m2, bad, 1.0, 0.0)
 
     def test_perturbation_must_fit_the_collocation(self, col_sphere_m2):
-        # the stream integral reads m and the mode count from the
-        # collocation: an m = 3 perturbation must not pass for an m = 2 one
+        # the stream integral reads m, the mode count and the kernel context
+        # from the collocation: an m = 3 perturbation must not pass for an
+        # m = 2 one, nor a spheroid's for the sphere's
         col = col_sphere_m2
         coeffs = small_perturbation(col, 0.02).coeffs
         misfits = [
             Perturbation(3, coeffs, col.kctx),
             Perturbation(2, coeffs[:2], col.kctx),
             Perturbation(2, coeffs[:, :-1], col.kctx),
+            Perturbation(2, coeffs, q.KernelContext(q.make_profile("spheroid", a=2.0), 24, 7, 3)),
         ]
         for bad in misfits:
             with pytest.raises(DomainError, match="collocation"):
@@ -172,7 +186,7 @@ class TestFtilde:
         f = random_perturbation(col, 3)
         R = f.radius_at_nodes(col.theta)
         grid = q.f_tilde(col, omega, f)
-        for t in range(col.half):
+        for t in range(col.n_phi):
             phi = float(col.kctx.nodes[t])
             bracket = np.array([q.stream_I(col, f, phi, th) for th in col.theta]) - 0.5 * omega * R[t] ** 2
             point = (bracket - bracket.mean()) / col.kctx.r0v[t]
@@ -296,9 +310,9 @@ class TestNewtonAndBranch:
         # returns from a perturbed guess to that point's shape
         col = q.Collocation(q.KernelContext(sphere, 8, 7, 3), m=2)
         pt = q.continue_branch(col, 0.03, 3).points[-1]
-        t = np.zeros(col.n_modes * col.half + 1)
+        t = np.zeros(col.n_modes * col.n_phi + 1)
         t[-1] = 1.0
-        u = _pack(1.02 * pt.f.coeffs[:, : col.half], pt.omega)
+        u = _pack(1.02 * pt.f.coeffs[:, : col.n_phi], pt.omega)
         point, _ = newton_correct(col, t, pt.omega, u)
         assert point.residual <= nonlinear.NEWTON_TOL
         assert 1 <= point.iterations <= 4
@@ -310,7 +324,7 @@ class TestNewtonAndBranch:
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
         t = _amplitude_row(col, bp.eigfun)
-        u = _pack(np.zeros((col.n_modes, col.half)), bp.omega_m)
+        u = _pack(np.zeros((col.n_modes, col.n_phi)), bp.omega_m)
         for bad_t, bad_u in ((t[:-1], u), (t, u[:-1]), (t, np.append(u, 0.0))):
             with pytest.raises(DomainError, match="length"):
                 newton_correct(col, bad_t, 0.0, bad_u)
@@ -320,11 +334,33 @@ class TestNewtonAndBranch:
         with pytest.raises(DomainError, match="s_max"):
             q.continue_branch(col_sphere_m2, s_max, 2)
 
-    def test_asymmetric_profile_rejected(self, asym_ctx):
-        # only the northern half of the targets is solved; the mirror
-        # would leave the southern half unsolved
-        with pytest.raises(DomainError, match="equator"):
-            q.Collocation(asym_ctx, m=2, n_modes=2, n_theta=4)
+    def test_asymmetric_profile_solves_every_node(self):
+        # no mirror: every node is a phi target.  s -> -s is the shift
+        # theta -> theta + pi/m, so Omega is even in s and f_k picks up
+        # (-1)^k; an m-fold surface has no velocity on the axis (measured
+        # 4.7e-16 in Omega, 3.0e-14 in f_k, axis 5.8e-17)
+        col = collocation("asym", 16, 2, de_level=6, n_theta=4)
+        assert col.n_phi == col.kctx.n_nodes and np.array_equal(col.E, np.eye(col.n_phi))
+        bp = q.find_bifurcation_point(col.kctx, 2)
+        up, down = (q.continue_branch(col, s, 1, bp=bp).points[0] for s in (0.01, -0.01))
+        assert abs(up.omega - down.omega) <= 1e-13
+        assert np.max(np.abs(down.f.coeffs - [[-1.0], [1.0]] * up.f.coeffs)) <= 2e-13
+        for pt in (up, down):
+            assert pt.residual <= nonlinear.NEWTON_TOL
+            assert q.velocity_on_axis(col, pt.f, [-0.5, 0.0, 0.3]) <= 1e-14
+
+    def test_full_grid_matches_mirrored_solve(self):
+        # the sphere forced onto every node solves the same branch
+        # (measured 2.0e-15 in Omega and 2.2e-14 in f_k)
+        mirrored = collocation("sphere", 8, 4)
+        kctx = q.KernelContext(mirrored.kctx.profile, 8, 7, 3)
+        kctx.mirrored = False
+        full = q.Collocation(kctx, m=2)
+        assert (mirrored.n_phi, full.n_phi) == (4, 8)
+        bp = q.find_bifurcation_point(mirrored.kctx, 2)
+        a, b = (q.continue_branch(col, 0.01, 2, bp=bp).points[-1] for col in (mirrored, full))
+        assert abs(a.omega - b.omega) <= 1e-14
+        assert np.max(np.abs(a.f.coeffs - b.f.coeffs)) <= 2e-13
 
 
 class TestExactJacobian:
@@ -340,14 +376,12 @@ class TestExactJacobian:
             J[:, c] = (_residual(col, up, t, 0.0)[0] - _residual(col, um, t, 0.0)[0]) / (2.0 * step)
         return J
 
-    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
+    @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2), ("asym", 8, 2)])
     def test_matches_central_differences(self, profile, n_nodes, n_modes):
-        name, _, a = profile.partition(":")
-        prof = q.make_profile(name, a=float(a)) if a else q.make_profile(name)
-        col = q.Collocation(q.KernelContext(prof, n_nodes, 7, 3), m=2, n_modes=n_modes)
+        col = collocation(profile, n_nodes, n_modes)
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
-        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        u = _pack(f.coeffs[:, : col.n_phi], bp.omega_m + 0.01)
         t = _amplitude_row(col, bp.eigfun)
         J = _jacobian(col, u, t, 0.0)[1]
         ref = self.central_jacobian(col, u, t)
@@ -359,10 +393,10 @@ class TestExactJacobian:
         # Omega_m its k = 1 block annihilates h*_m: exact, not FD, oracles
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
-        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.half)), bp.omega_m), _amplitude_row(col, bp.eigfun), 0.0)[1]
-        blocks = J[:-1, :-1].reshape(col.n_modes, col.half, col.n_modes, col.half)
+        J = _jacobian(col, _pack(np.zeros((col.n_modes, col.n_phi)), bp.omega_m), _amplitude_row(col, bp.eigfun), 0.0)[1]
+        blocks = J[:-1, :-1].reshape(col.n_modes, col.n_phi, col.n_modes, col.n_phi)
         J11 = blocks[0, :, 0, :]
-        h = bp.eigfun[: col.half]
+        h = bp.eigfun[: col.n_phi]
         assert np.linalg.norm(J11 @ h) <= 1e-10 * np.linalg.norm(J11, 2) * np.linalg.norm(h)
         for row in range(col.n_modes):
             for column in range(col.n_modes):
@@ -383,7 +417,7 @@ class TestExactJacobian:
         # ~60 rows that carries real weight (the last rows of a rule sit
         # near vphi = pi, where sin(vphi) and the weights vanish)
         monkeypatch.setattr(nonlinear, "_CHUNK_ELEMS", rows * len(col.eta_nodes) * 2 * col.n_theta)
-        for phi in col.kctx.nodes[: col.half]:
+        for phi in col.kctx.nodes[: col.n_phi]:
             assert len(col.geometry(phi)["wsin"]) % rows != 0
 
     @pytest.mark.parametrize("rows", [12, 150])
@@ -391,7 +425,7 @@ class TestExactJacobian:
         col = col_sphere_m2
         self.use_chunk_rows(col, monkeypatch, rows)
         f = random_perturbation(col, 7)
-        phis = col.kctx.nodes[: col.half]
+        phis = col.kctx.nodes[: col.n_phi]
         R = _radii(col, f, phis, col.theta)
         cos_tab = _angle_tables(col, col.theta)[0]
         ref = np.empty(R.shape)
@@ -410,15 +444,15 @@ class TestExactJacobian:
         col = col_sphere_m2
         self.use_chunk_rows(col, monkeypatch, rows)
         f = random_perturbation(col, 8)
-        phis = col.kctx.nodes[: col.half]
-        R = f.radius_at_nodes(col.theta)[: col.half]
+        phis = col.kctx.nodes[: col.n_phi]
+        R = f.radius_at_nodes(col.theta)[: col.n_phi]
         # sides s = 2 j + bit at the angles theta_j + eta (bit 0), theta_j - eta (bit 1)
         angle = np.stack([col.theta[:, None] + col.eta_nodes, col.theta[:, None] - col.eta_nodes], axis=1)
         angle = angle.reshape(2 * col.n_theta, len(col.eta_nodes)).T
         km = np.arange(1, col.n_modes + 1)[:, None, None] * col.m
         cos_tab, km_sin, exp_eta = np.cos(km * angle), km * np.sin(km * angle), np.exp(1j * angle)
         ref = np.empty(R.shape, dtype=complex)
-        for t in range(col.half):
+        for t in range(col.n_phi):
             geom = col.geometry(phis[t])
             Fk = f.coeffs @ geom["P"].T
             rho = np.repeat(R[t], 2)
@@ -430,12 +464,6 @@ class TestExactJacobian:
             acc = self.exact_sides(geom, col, integrand.real) + 1j * self.exact_sides(geom, col, integrand.imag)
             ref[t] = (acc[0::2] + acc[1::2]) / (4.0 * np.pi)
         assert np.max(np.abs(_stream(col, f, phis, col.theta, R)[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def collocation(profile, n_nodes, n_modes):
-    name, _, a = profile.partition(":")
-    prof = q.make_profile(name, a=float(a)) if a else q.make_profile(name)
-    return q.Collocation(q.KernelContext(prof, n_nodes, 7, 3), m=2, n_modes=n_modes)
 
 
 class TestOneStreamPass:
@@ -467,7 +495,7 @@ class TestOneStreamPass:
         col = collocation(profile, n_nodes, n_modes)
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
-        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        u = _pack(f.coeffs[:, : col.n_phi], bp.omega_m + 0.01)
         t = _amplitude_row(col, bp.eigfun)
         res, _ = _jacobian(col, u, t, 0.003)
         assert np.array_equal(res, _residual(col, u, t, 0.003)[0])
@@ -477,7 +505,7 @@ class TestOneStreamPass:
         col = collocation(profile, n_nodes, n_modes)
         bp = q.find_bifurcation_point(col.kctx, 2)
         f = random_perturbation(col, 5)
-        u = _pack(f.coeffs[:, : col.half], bp.omega_m + 0.01)
+        u = _pack(f.coeffs[:, : col.n_phi], bp.omega_m + 0.01)
         t = _amplitude_row(col, bp.eigfun)
         res, J = _jacobian(col, u, t, 0.003)
         assert np.array_equal(J[-1], t)
@@ -503,10 +531,10 @@ class TestOneStreamPass:
         # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
-        half = np.zeros((col.n_modes, col.half))
-        half[0] = -2.0 * np.sin(col.kctx.nodes[: col.half])
+        coeffs = np.zeros((col.n_modes, col.n_phi))
+        coeffs[0] = -2.0 * np.sin(col.kctx.nodes[: col.n_phi])
         with pytest.raises(GeometryError):
-            _jacobian(col, _pack(half, 0.1), _amplitude_row(col, bp.eigfun), 0.0)
+            _jacobian(col, _pack(coeffs, 0.1), _amplitude_row(col, bp.eigfun), 0.0)
 
     def test_one_iteration_one_pass_each(self, monkeypatch):
         col = collocation("sphere", 8, 4)
@@ -519,7 +547,7 @@ class TestOneStreamPass:
     def test_zero_iterations_return_initial_jacobian(self, col_sphere_m2):
         col = col_sphere_m2
         bp = q.find_bifurcation_point(col.kctx, 2)
-        u = _pack(np.zeros((col.n_modes, col.half)), bp.omega_m)
+        u = _pack(np.zeros((col.n_modes, col.n_phi)), bp.omega_m)
         t = _amplitude_row(col, bp.eigfun)
         point, jac = newton_correct(col, t, 0.0, u)
         assert point.iterations == 0
