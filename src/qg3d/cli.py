@@ -223,6 +223,8 @@ def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
         "s_max": cfg.s_max,
         "steps": cfg.steps,
         "newton_tol": nonlinear.NEWTON_TOL,
+        "phi_level": col.phi_level,
+        "eta_level": col.eta_level,
         "failed_at": branch.failed_at,
         "message": branch.message,
         "points": points_meta,

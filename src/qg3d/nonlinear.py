@@ -82,16 +82,28 @@ class Collocation:
     and the unfold matrix E, shape (N, n_phi), maps values on them to
     the whole grid.  On a mirrored context (``KernelContext.mirrored``)
     E = I[:, :N/2] + I[::-1, :N/2] gives node N - 1 - n the value of
-    node n, which halves the solve; otherwise E = I_N.  theta targets are the n_theta first-kind cosine sample
-    points of one half m-period, which diagonalize the retained
-    cos(k m theta) modes, k = 1..n_modes.
+    node n, which halves the solve; otherwise E = I_N.  theta targets
+    are the n_theta first-kind cosine sample points of one half
+    m-period, which diagonalize the retained cos(k m theta) modes,
+    k = 1..n_modes.
+
+    phi_level and eta_level are the tanh-sinh levels of the vphi and eta
+    rules of the stream integral.  phi_level 3 is the smallest level that
+    the measured table ``tests/test_nonlinear.py::TestQuadratureLevels``
+    supports: there a branch point agrees with the rotating ellipsoid,
+    or with phi_level 5 on analytic non-ellipsoid profiles, to the Newton
+    and mode truncation floor (3.2e-15 in Omega on the sphere at
+    s = 0.03), where phi_level 2 is off by 5e-9 to 1e-7.  Each phi level
+    doubles the vphi nodes, and with them the cost of a stream pass.
+    eta_level stays at 4: level 3 costs a factor 30 in shape error on
+    the sphere.
     """
 
     kctx: KernelContext
     m: int
     n_modes: int = 4
     n_theta: int = 8
-    phi_level: int = 4
+    phi_level: int = 3
     eta_level: int = 4
 
     def __post_init__(self):
@@ -161,17 +173,16 @@ class Perturbation:
         return self.kctx.r0v[:, None] + np.einsum("kn,kt->nt", self.coeffs, modes)
 
     def validate(self, theta_samples: int = 64) -> dict:
-        """Dirichlet extrapolants, equatorial defect and min radius."""
+        """Dirichlet extrapolants and min radius."""
         x = self.kctx.nodes
         end = 0.0
         for row in self.coeffs:
             c0 = np.polyfit(x[:3], row[:3], 2)
             cpi = np.polyfit(x[-3:], row[-3:], 2)
             end = max(end, abs(np.polyval(c0, 0.0)), abs(np.polyval(cpi, np.pi)))
-        sym = float(np.max(np.abs(self.coeffs - self.coeffs[:, ::-1])))
         theta = np.linspace(0.0, 2 * np.pi, theta_samples, endpoint=False)
         rmin = float(np.min(self.radius_at_nodes(theta)))
-        return {"endpoint_defect": float(end), "equatorial_defect": sym, "r_min": rmin}
+        return {"endpoint_defect": float(end), "r_min": rmin}
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qg3d.cli import main
-from qg3d.nonlinear import NEWTON_TOL
+from qg3d.nonlinear import NEWTON_TOL, Collocation
 
 FAST = ["--phi-nodes", "24", "--de-level", "7"]
 
@@ -144,6 +144,7 @@ class TestBranch:
         payload = json.loads((out / "branch.json").read_text())
         assert payload["failed_at"] is None
         assert payload["newton_tol"] == NEWTON_TOL
+        assert (payload["phi_level"], payload["eta_level"]) == (Collocation.phi_level, Collocation.eta_level)
         assert len(payload["points"]) == 2
         for pt in payload["points"]:
             assert pt["residual"] <= 1e-8
