@@ -16,9 +16,9 @@ target it contracts a block of theta targets and both eta half-ranges
 as one (vphi, eta, side) tensor, whether the targets are the collocation
 grid (Ftilde, the Newton residual, the velocity-form check) or single
 points and full circles (``stream_I``, ``mean_m``, ``f_tilde_circle``).
-It walks that tensor in chunks of vphi rows of about 20k elements, so
-every temporary stays in cache, and the same chunks give the boundary
-velocity U that the velocity-form check needs.
+It walks that tensor in chunks of vphi rows of about 20k elements, on
+which the radial closed form works in place, and the same chunks give
+the boundary velocity U that the velocity-form check needs.
 
 The branch of rotating solutions through the mode-m bifurcation point is
 corrected by a damped Newton iteration on the bordered collocation
@@ -201,27 +201,65 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
     dK/dc = ln(z1/z0) - rup / s1 and
     dK/dq = (1/s1 - 1/s0) / 2 + c (1/(s1 z1) - 1/(s0 z0)) / 2,
     where s1, z1 and s0, z0 are the root and the log argument at r = rup
-    and r = 0."""
-    d = rup - c
-    s1 = np.sqrt(d * d + q)
-    t1 = np.abs(d) + s1
-    z1 = np.maximum(np.where(d >= 0, t1, q / t1), 1e-300)
-    s0 = np.sqrt(c * c + q)
-    t0 = np.abs(c) + s0
-    z0 = np.maximum(np.where(c <= 0, t0, q / t0), 1e-300)
-    log_ratio = np.log(z1 / z0)
-    K = s1 - s0 + c * log_ratio
-    i1 = 1.0 / s1
+    and r = 0: z1 = |d| + s1 where d = rup - c >= 0, else q / (|d| + s1),
+    and z0 = |c| + s0 where c <= 0, else q / (|c| + s0), both floored
+    at 1e-300.
+
+    Computed in place: the plain pass allocates four arrays of the
+    broadcast shape and the partials pass six, the outputs among them,
+    each reused through ufunc ``out=`` once its value is dead.  Every
+    element goes through the same floating-point operations in the same
+    order as the out-of-place expressions that tests/test_nonlinear.py
+    keeps as its reference, so the outputs are bitwise theirs.  The
+    inputs are never written: ``_stream`` reads rup again after the
+    call, and every chunk shares c."""
+    d = np.empty(np.broadcast_shapes(np.shape(rup), np.shape(c), np.shape(q)))
+    np.subtract(rup, c, out=d)
+    swap = d >= 0
+    np.logical_not(swap, out=swap)  # where(d >= 0, t1, q / t1), as a mask
+    s1 = np.multiply(d, d)
+    s1 += q
+    np.sqrt(s1, out=s1)
+    z1 = np.abs(d, out=d)
+    z1 += s1
+    np.divide(q, z1, out=z1, where=swap)
+    np.maximum(z1, 1e-300, out=z1)
+    del swap
+    s0 = np.add(c * c, q, out=np.empty_like(d))
+    np.sqrt(s0, out=s0)
+    z0 = np.add(np.abs(c), s0)
+    np.divide(q, z0, out=z0, where=np.logical_not(c <= 0))
+    np.maximum(z0, 1e-300, out=z0)
     if not partials:
-        return K, i1
-    i0 = 1.0 / s0
-    d_rup = rup * i1
-    return K, d_rup, log_ratio - d_rup, 0.5 * ((i1 - i0) + c * (i1 / z1 - i0 / z0))
+        np.divide(z1, z0, out=z1)
+        log_ratio = np.log(z1, out=z1)
+        K = np.subtract(s1, s0, out=s0)
+        K += np.multiply(c, log_ratio, out=log_ratio)
+        return K, np.divide(1.0, s1, out=s1)
+    log_ratio = np.divide(z1, z0)
+    np.log(log_ratio, out=log_ratio)
+    K = np.subtract(s1, s0)
+    i1 = np.divide(1.0, s1, out=s1)
+    i0 = np.divide(1.0, s0, out=s0)
+    np.divide(i1, z1, out=z1)
+    np.divide(i0, z0, out=z0)
+    z1 -= z0
+    z1 *= c
+    d_q = np.subtract(i1, i0, out=i0)
+    d_q += z1
+    d_q *= 0.5
+    d_rup = np.multiply(rup, i1, out=i1)
+    K += np.multiply(c, log_ratio, out=z0)
+    d_c = np.subtract(log_ratio, d_rup, out=log_ratio)
+    return K, d_rup, d_c, d_q
 
 
-# Elements in one chunk of a (vphi, eta, side) tensor.  About 20k doubles
-# keep every temporary of a chunk in cache: 12 vphi rows at 109 eta nodes
-# x 16 sides.
+# Elements in one chunk of a (vphi, eta, side) tensor: 12 vphi rows at
+# 109 eta nodes x 16 sides.  The closed form's cost per element rises
+# with the chunk size because of its full-size temporaries (measured 21-25
+# ns at 3.5k elements, 58 ns at 21k when it allocated 11 of them); in
+# place it peaks at 4.5 chunk sizes (plain) and 6.5 (partials), the
+# bounds of tests/test_nonlinear.py::TestRadialClosedForm.
 _CHUNK_ELEMS = 21_000
 
 
@@ -261,8 +299,8 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
 
     Per phi target, blocks of at most n_theta theta targets and both eta
     half-ranges form the sides of one (vphi, eta, side) tensor, which is
-    walked in chunks of vphi rows (``_row_chunks``) so that every
-    temporary stays cache-sized.  The same chunks give the horizontal
+    walked in chunks of vphi rows (``_row_chunks``), which bounds every
+    temporary by the chunk size.  The same chunks give the horizontal
     boundary velocity U = U1 + i U2 as the surface integral
     (1/4pi) iint sin(vphi) (d_eta r + i r) e^{i eta} / dist, with the
     1/dist of the closed form.  With ``partials`` the chunks give the two
@@ -643,7 +681,10 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
     s = 1.  With one previous point (the seed before the first step) it
     scales that point's f part by s / s_prev and keeps its Omega; with
     two it extrapolates them linearly.  A corrector failure truncates
-    the branch and records the step.  s_max must be finite and nonzero.
+    the branch and records the step; after an accepted point the message
+    also gives that point's s, its ``Perturbation.validate`` r_min and
+    the profile's max r0, so a pinching shape shows as such.  s_max must
+    be finite and nonzero.
     """
     if steps < 1:
         raise DomainError(f"continue_branch: steps must be >= 1, got {steps}")
@@ -668,7 +709,14 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
         try:
             point, _ = newton_correct(col, t, s, u)
         except (SolverError, GeometryError) as exc:
-            return Branch(col.m, bp.omega_m, points, failed_at=k, message=str(exc))
+            message = str(exc)
+            if points:
+                last = points[-1]
+                message += (
+                    f"; last accepted point s = {last.s:.6g} has r_min {last.f.validate()['r_min']:.3e}"
+                    f" against max r0 {float(np.max(col.kctx.r0v)):.3e}"
+                )
+            return Branch(col.m, bp.omega_m, points, failed_at=k, message=message)
         points.append(point)
         trail.append((point.s, _pack(point.f.coeffs[:, : col.n_phi], point.omega)))
     return Branch(col.m, bp.omega_m, points)

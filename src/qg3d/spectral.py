@@ -96,15 +96,15 @@ def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     S = K.sym_entries
     size = S.shape[0]
     v = np.full(size, 1.0 / np.sqrt(size))
-    lam = 0.0
+    w = S @ v
     for it in range(1, POWER_MAXIT + 1):
-        w = S @ v
         lam = float(v @ w)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             raise SolverError("largest_eigenvalue: iterate collapsed to zero")
         v = w / norm
-        resid = float(np.linalg.norm(S @ v - lam * v))
+        w = S @ v  # the residual's product is the next step's
+        resid = float(np.linalg.norm(w - lam * v))
         if resid <= POWER_TOL * max(1.0, abs(lam)):
             break
     else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,39 @@ class TestNewtonAndBranch:
         assert branch.points == []
         assert branch.message
 
+    def test_failure_after_a_point_names_the_shape(self, tmp_path, monkeypatch):
+        # Newton fails at the second step: the message adds the last accepted
+        # point's s and r_min against the profile's max r0, in branch.json too
+        correct, cont = nonlinear.newton_correct, nonlinear.continue_branch
+        calls, branches = [], []
+
+        def second_step_fails(col, t, sigma, u):
+            calls.append(sigma)
+            if len(calls) == 2:
+                raise SolverError("newton_correct: line search failed (residual 1.000e-03)")
+            return correct(col, t, sigma, u)
+
+        def recorded(*args, **kwargs):
+            branches.append(cont(*args, **kwargs))
+            return branches[-1]
+
+        monkeypatch.setattr(nonlinear, "newton_correct", second_step_fails)
+        monkeypatch.setattr(nonlinear, "continue_branch", recorded)
+        code = cli.main([
+            "branch", "--profile", "sphere", "--phi-nodes", "8", "--de-level", "7", "--modes", "2",
+            "--s-max", "0.006", "--steps", "2", "--outdir", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        (branch,) = branches
+        assert branch.failed_at == 1 and len(branch.points) == 1
+        pt = branch.points[0]
+        assert branch.message == (
+            "newton_correct: line search failed (residual 1.000e-03); last accepted point s = 0.003"
+            f" has r_min {pt.f.validate()['r_min']:.3e} against max r0 {np.max(pt.f.kctx.r0v):.3e}"
+        )
+        payload = json.loads((tmp_path / "out" / "branch.json").read_text())
+        assert payload["failed_at"] == 1 and payload["message"] == branch.message
+
     def test_amplitude_pairing_exact(self, col_sphere_m2):
         bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
         branch = q.continue_branch(col_sphere_m2, 0.01, 2, bp=bp)
@@ -385,6 +419,81 @@ class TestNewtonAndBranch:
         a, b = (q.continue_branch(col, 0.01, 2, bp=bp).points[-1] for col in (mirrored, full))
         assert abs(a.omega - b.omega) <= 1e-14
         assert np.max(np.abs(a.f.coeffs - b.f.coeffs)) <= 2e-13
+
+
+def closed_form_reference(rup, c, q, partials=False):
+    """The out-of-place expressions that ``_radial_closed_form`` computes
+    in place; its outputs must equal these bitwise."""
+    d = rup - c
+    s1 = np.sqrt(d * d + q)
+    t1 = np.abs(d) + s1
+    z1 = np.maximum(np.where(d >= 0, t1, q / t1), 1e-300)
+    s0 = np.sqrt(c * c + q)
+    t0 = np.abs(c) + s0
+    z0 = np.maximum(np.where(c <= 0, t0, q / t0), 1e-300)
+    log_ratio = np.log(z1 / z0)
+    K = s1 - s0 + c * log_ratio
+    i1 = 1.0 / s1
+    if not partials:
+        return K, i1
+    i0 = 1.0 / s0
+    d_rup = rup * i1
+    return K, d_rup, log_ratio - d_rup, 0.5 * ((i1 - i0) + c * (i1 / z1 - i0 / z0))
+
+
+class TestRadialClosedForm:
+    """The in-place radial closed form: bitwise the out-of-place
+    expressions, inputs untouched, and a bounded allocation peak."""
+
+    @staticmethod
+    def chunk_inputs():
+        """One chunk of the benchmark branch, 12 vphi rows x 109 eta nodes x
+        16 sides, with c broadcast over the rows as ``_stream`` passes it."""
+        rng = np.random.default_rng(3)
+        rup = rng.uniform(0.05, 1.5, (12, 109, 16))
+        c = rng.uniform(-1.0, 1.0, (1, 109, 16))
+        c[0, :8, 8:] = 0.0
+        q = rng.uniform(0.0, 1.0, rup.shape) ** 2
+        q[0] = 1e-30  # tiny q: the log arguments q / t of the swapped sides are ~1e-30
+        rup[1] = c[0]  # d == 0 exactly
+        rup[2, 0, 0] = np.nan  # NaN outputs in the same places
+        return rup, c, q
+
+    @pytest.mark.parametrize("partials", [False, True])
+    def test_bitwise_out_of_place_expressions(self, partials):
+        rup, c, q = self.chunk_inputs()
+        d = rup - c
+        for region in (d < 0, d >= 0, np.broadcast_to(c <= 0, d.shape), np.broadcast_to(c > 0, d.shape)):
+            assert np.count_nonzero(region & (q < 1e-20)) and np.count_nonzero(region & (q > 1e-3))
+        saved = [rup.copy(), c.copy(), q.copy()]
+        got = _radial_closed_form(rup, c, q, partials=partials)
+        ref = closed_form_reference(rup, c, q, partials=partials)
+        assert len(got) == len(ref) == (4 if partials else 2)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+        # _stream reads rup again after the call, and c is shared by every chunk
+        for before, after in zip(saved, (rup, c, q)):
+            assert np.array_equal(before, after, equal_nan=True)
+
+    @pytest.mark.parametrize("partials,bound,parent", [(False, 4.5, 11.0), (True, 6.5, 17.0)])
+    def test_allocation_peak(self, partials, bound, parent):
+        # tracemalloc peak of one call in chunk sizes: the outputs and the
+        # buffers they reuse (4 plain, 6 partials) plus numpy's iterator
+        # buffers for the broadcast c; measured 4.43 and 6.34.  The
+        # out-of-place expressions peak at 11.0 and 17.0, which also shows
+        # that tracemalloc sees numpy's allocations
+        rup, c, q = self.chunk_inputs()
+        peaks = []
+        for fn in (_radial_closed_form, closed_form_reference):
+            fn(rup, c, q, partials=partials)
+            tracemalloc.start()
+            try:
+                fn(rup, c, q, partials=partials)
+                peaks.append(tracemalloc.get_traced_memory()[1] / rup.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= bound
+        assert peaks[1] >= parent - 0.1
 
 
 class TestExactJacobian:
