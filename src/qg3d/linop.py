@@ -117,7 +117,7 @@ def gateaux_check(col: Collocation, omega: float, h, eps_list) -> np.ndarray:
     for eps in eps_list:
         coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
         coeffs[0] = eps * hv
-        pert = Perturbation(col.m, coeffs, col.kctx)
+        pert = Perturbation(col, coeffs)
         val = f_tilde(col, omega, pert)
         errs.append(float(np.max(np.abs((val - base) / eps - target))))
     errs = np.array(errs)

@@ -147,42 +147,65 @@ class Collocation:
         return self._geom[key]
 
 
+# theta samples of one full period at which a shape's radius is judged on
+# the kernel grid: by ``Perturbation.validate`` and on every nonlinear path
+_SHAPE_THETA = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+
+
 @dataclass(eq=False)
 class Perturbation:
-    """m-fold cosine perturbation: coeffs[k-1] holds f_k on the kernel grid."""
+    """m-fold cosine perturbation of the collocation ``col``, whose m and
+    kernel grid it uses: coeffs[k-1] holds f_k on that grid."""
 
-    m: int
+    col: Collocation
     coeffs: np.ndarray
-    kctx: KernelContext
 
     @classmethod
     def zero(cls, col: Collocation) -> "Perturbation":
-        return cls(col.m, np.zeros((col.n_modes, col.kctx.n_nodes)), col.kctx)
+        return cls(col, np.zeros((col.n_modes, col.kctx.n_nodes)))
 
     @classmethod
     def unfold(cls, col: Collocation, coeffs: np.ndarray) -> "Perturbation":
         """The perturbation whose f_k on the solved phi targets are the
         rows of coeffs, shape (n_modes, n_phi), unfolded by ``col.E``."""
-        return cls(col.m, coeffs @ col.E.T, col.kctx)
+        return cls(col, coeffs @ col.E.T)
 
     def radius_at_nodes(self, theta) -> np.ndarray:
         """r(phi_i, theta) on the kernel grid for an array of theta."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         k = np.arange(1, self.coeffs.shape[0] + 1)
-        modes = np.cos(k[:, None] * self.m * theta[None, :])
-        return self.kctx.r0v[:, None] + np.einsum("kn,kt->nt", self.coeffs, modes)
+        modes = np.cos(k[:, None] * self.col.m * theta[None, :])
+        return self.col.kctx.r0v[:, None] + np.einsum("kn,kt->nt", self.coeffs, modes)
 
-    def validate(self, theta_samples: int = 64) -> dict:
+    def validate(self) -> dict:
         """Dirichlet extrapolants and min radius."""
-        x = self.kctx.nodes
+        x = self.col.kctx.nodes
         end = 0.0
         for row in self.coeffs:
             c0 = np.polyfit(x[:3], row[:3], 2)
             cpi = np.polyfit(x[-3:], row[-3:], 2)
             end = max(end, abs(np.polyval(c0, 0.0)), abs(np.polyval(cpi, np.pi)))
-        theta = np.linspace(0.0, 2 * np.pi, theta_samples, endpoint=False)
-        rmin = float(np.min(self.radius_at_nodes(theta)))
+        rmin = float(np.min(self.radius_at_nodes(_SHAPE_THETA)))
         return {"endpoint_defect": float(end), "r_min": rmin}
+
+
+def _admit(col: Collocation, f: Perturbation | None) -> Perturbation:
+    """The shape check of every nonlinear path: ``None`` is the zero
+    perturbation, one of another collocation or of coefficient shape
+    other than (n_modes, N) is a DomainError, and a radius non-positive
+    on the kernel grid (where f is exact) at ``_SHAPE_THETA`` is a
+    GeometryError, whatever the targets."""
+    if f is None:
+        return Perturbation.zero(col)
+    shape = (col.n_modes, col.kctx.n_nodes)
+    if f.col is not col:
+        raise DomainError(f"perturbation of another collocation (m = {f.col.m}) than the one evaluated (m = {col.m})")
+    if np.shape(f.coeffs) != shape:
+        raise DomainError(f"perturbation coefficients {np.shape(f.coeffs)} do not fit the collocation's {shape}")
+    rmin = float(np.min(f.radius_at_nodes(_SHAPE_THETA)))
+    if rmin <= 0.0:
+        raise GeometryError(f"reconstructed radius is non-positive on the kernel grid (min {rmin:.3e})")
+    return f
 
 
 # --------------------------------------------------------------------------
@@ -377,28 +400,11 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
     return out, U
 
 
-def _check_conforms(col: Collocation, f: Perturbation) -> None:
-    """``_stream`` and ``_radii`` read m, the mode count and the kernel
-    context from the collocation, so a perturbation of another m, shape
-    or context is an error."""
-    shape = (col.n_modes, col.kctx.n_nodes)
-    if f.m != col.m or f.coeffs.shape != shape:
-        raise DomainError(f"perturbation (m={f.m}, {f.coeffs.shape}) does not fit the collocation (m={col.m}, {shape})")
-    if f.kctx is not col.kctx:
-        raise DomainError("perturbation is sampled on another kernel context than the collocation's")
-
-
 def stream_I(col: Collocation, f: Perturbation | None, phi: float, theta: float) -> float:
-    """Volume potential of the deformed body at the boundary point
-    (r(phi, theta) e^{i theta}, cos phi)."""
-    if f is None:
-        f = Perturbation.zero(col)
-    _check_conforms(col, f)
-    rmin = float(np.min(f.radius_at_nodes(np.linspace(0, 2 * np.pi, 32, endpoint=False))))
-    if rmin <= 0.0:
-        raise GeometryError(f"stream_I: reconstructed radius is non-positive (min {rmin})")
-    phis, thetas = np.array([float(phi)]), np.array([float(theta)])
-    return float(_stream(col, f, phis, thetas, _radii(col, f, phis, thetas))[0][0, 0])
+    """Volume potential I(f) of the deformed body at the boundary point
+    (r(phi, theta) e^{i theta}, cos phi): the bracket of ``_bracket`` at
+    Omega = 0, with its checks of f and of the target radius."""
+    return float(_bracket(col, 0.0, f, phi, theta)[1][0, 0])
 
 
 def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, partials: bool = False):
@@ -406,8 +412,8 @@ def _bracket(col: Collocation, omega: float, f: Perturbation, phis, thetas, part
     thetas[j]), each of shape (len(phis), len(thetas)), U the boundary
     velocity of ``_stream``.  With ``partials`` the source and
     target-radius partials of I that ``_stream`` returns take U's place,
-    from the same pass."""
-    _check_conforms(col, f)
+    from the same pass.  f goes through ``_admit``."""
+    f = _admit(col, f)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r = _radii(col, f, phis, thetas)
@@ -438,8 +444,6 @@ def f_tilde(col: Collocation, omega: float, f: Perturbation | None) -> np.ndarra
     sample set (the sampling kills every retained nonzero mode exactly),
     so the output has exactly vanishing discrete theta average.
     """
-    if f is None:
-        f = Perturbation.zero(col)
     return _stationarity(col, _bracket(col, omega, f, col.kctx.nodes[: col.n_phi], col.theta)[1])
 
 
@@ -453,8 +457,6 @@ def f_tilde_circle(col: Collocation, omega: float, f: Perturbation | None, phi_t
     """Ftilde(Omega, f)(phi_t, theta) sampled on a uniform full-circle
     theta grid (symmetry and mode-leakage diagnostics; the collocation
     path itself only ever touches one half m-period)."""
-    if f is None:
-        f = Perturbation.zero(col)
     vals = _bracket(col, omega, f, float(phi_t), periodic_trapezoid(n_samples).nodes)[1][0]
     return (vals - np.mean(vals)) / float(col.kctx.profile.r0(phi_t))
 
@@ -464,8 +466,6 @@ def mean_m(col: Collocation, omega: float, f: Perturbation | None, phi_t: float,
     colatitude phi_t.  By m-fold symmetry the mean over one period with
     the cosine sample set suffices; ``full_period`` instead samples the
     whole circle with a trapezoid rule (consistency check path)."""
-    if f is None:
-        f = Perturbation.zero(col)
     thetas = periodic_trapezoid(2 * col.m * col.n_theta).nodes if full_period else col.theta
     return float(np.mean(_bracket(col, omega, f, float(phi_t), thetas)[1][0]))
 
@@ -497,8 +497,7 @@ def velocity_residual(col: Collocation, omega: float, f: Perturbation | None) ->
     bracket come from one plain ``_stream`` pass; ``newton_correct``
     applies the same algebra to the pass that accepted its point.
     """
-    if f is None:
-        f = Perturbation.zero(col)
+    f = _admit(col, f)
     return _velocity_form(col, omega, f, *_bracket(col, omega, f, col.kctx.nodes[: col.n_phi], col.theta))
 
 
@@ -510,17 +509,14 @@ def _axis_velocity_grid(sinv, cosv, wphi, eta, weta, r_vals, dr_vals, z: float) 
 
 
 def velocity_on_axis(col: Collocation, f: Perturbation | None, z_list) -> float:
-    """max_z |U(0, 0, z)| for the reconstructed shape (vanishes for any
-    m-fold symmetric surface with m >= 2)."""
-    if f is None:
-        f = Perturbation.zero(col)
-    if f.m < 2:
-        raise DomainError("velocity_on_axis: requires m-fold symmetry with m >= 2")
+    """max_z |U(0, 0, z)| for the reconstructed shape, f checked by
+    ``_admit``.  It vanishes for any m-fold symmetric surface with
+    m >= 2, the only m a ``Collocation`` accepts."""
+    f = _admit(col, f)
     ctx = col.kctx
     rule = periodic_trapezoid(256)
     eta, weta = rule.nodes, rule.weights
-    k = np.arange(1, f.coeffs.shape[0] + 1)
-    km = (k * f.m).astype(float)
+    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
     r_vals = f.radius_at_nodes(eta)
     dr_vals = -np.einsum("kn,k,ke->ne", f.coeffs, km, np.sin(km[:, None] * eta[None, :]))
     worst = 0.0
@@ -692,6 +688,9 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
         raise DomainError(f"continue_branch: s_max must be finite and nonzero, got {s_max}")
     if bp is None:
         bp = find_bifurcation_point(col.kctx, col.m)
+    elif bp.m != col.m or len(bp.eigfun) != col.kctx.n_nodes:
+        raise DomainError(f"continue_branch: bifurcation point (m={bp.m}, {len(bp.eigfun)} nodes)"
+                          f" does not fit the collocation (m={col.m}, {col.kctx.n_nodes} nodes)")
     hstar = np.asarray(bp.eigfun, dtype=float)
     t = _amplitude_row(col, hstar)
     seed = np.zeros(len(t))

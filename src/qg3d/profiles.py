@@ -9,9 +9,11 @@ the boundary point at colatitude parameter phi in [0, pi] sits at
 * ``tabulated``    monotone cubic interpolant of (phi, r0) samples with
                    enforced endpoint zeros.
 
-Validation checks the structural hypotheses the solver relies on:
-endpoint zeros with interior positivity (H1), two-sided comparability
-with sin(phi) (H2), and equatorial symmetry (H3).
+Validation reports the paper's hypotheses on the profile: endpoint
+zeros with interior positivity (H1), two-sided comparability with
+sin(phi) (H2), and equatorial symmetry (H3).  The solvers do not need
+H3: without the mirror the kernel walks every row and the branch solves
+every phi node (``KernelContext.mirrored``).
 """
 
 from __future__ import annotations

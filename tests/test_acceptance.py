@@ -205,7 +205,7 @@ def test_criterion_10_stationarity_and_symmetry(col_sphere_m2):
             c = rng.standard_normal(3)
             base = c[0] * np.sin(kctx.nodes) + c[1] * np.sin(kctx.nodes) ** 2 + c[2] * np.sin(kctx.nodes) ** 3
             coeffs[k] = 0.01 * base / max(1.0, np.max(np.abs(base)))
-        f = Perturbation(2, coeffs, kctx)
+        f = Perturbation(col_sphere_m2, coeffs)
         a = f_tilde_circle(col_sphere_m2, 0.1, f, float(kctx.nodes[6]), 64)
         b = f_tilde_circle(col_sphere_m2, 0.1, f, float(kctx.nodes[-7]), 64)
         worst_sym = max(worst_sym, float(np.max(np.abs(a - b))))              # equatorial

@@ -94,7 +94,7 @@ class TestModeStructure:
         eps = 1e-3
         coeffs = np.zeros((4, kctx.n_nodes))
         coeffs[0] = eps * np.sin(kctx.nodes)
-        f = q.Perturbation(2, coeffs, kctx)
+        f = q.Perturbation(col_sphere_m2, coeffs)
         vals = q.nonlinear.f_tilde_circle(col_sphere_m2, 0.1, f, float(kctx.nodes[8]), 64)
         spec = np.fft.rfft(vals) / len(vals)
         scale = np.max(np.abs(spec)) + 1e-30
@@ -107,6 +107,6 @@ class TestModeStructure:
         kctx = col_sphere_m2.kctx
         coeffs = np.zeros((4, kctx.n_nodes))
         coeffs[0] = 0.01 * np.sin(kctx.nodes)
-        f = q.Perturbation(2, coeffs, kctx)
+        f = q.Perturbation(col_sphere_m2, coeffs)
         vals = q.nonlinear.f_tilde_circle(col_sphere_m2, 0.1, f, float(kctx.nodes[6]), 64)
         assert abs(np.mean(vals)) <= 1e-10

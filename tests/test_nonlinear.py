@@ -32,7 +32,7 @@ from oracles import asym_profile, bump_profile, rotating_ellipsoid
 def small_perturbation(col, eps=0.02, mode=0):
     coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
     coeffs[mode] = eps * np.sin(col.kctx.nodes) ** (mode + 1)
-    return Perturbation(col.m, coeffs, col.kctx)
+    return Perturbation(col, coeffs)
 
 
 def random_perturbation(col, seed, eps=0.01):
@@ -44,7 +44,7 @@ def random_perturbation(col, seed, eps=0.01):
         c = rng.standard_normal(3)
         base = c[0] * np.sin(x) + c[1] * np.sin(x) ** 2 + c[2] * np.sin(x) ** 3
         coeffs[k] = eps * base / max(1.0, np.max(np.abs(base)))
-    return Perturbation(col.m, coeffs, col.kctx)
+    return Perturbation(col, coeffs)
 
 
 def correct_amplitude(col, s, omega, f0, hstar):
@@ -115,21 +115,22 @@ class TestStreamPotential:
     def test_geometry_guard(self, col_sphere_m2):
         coeffs = np.zeros((4, 24))
         coeffs[0] = -2.0 * np.sin(col_sphere_m2.kctx.nodes)
-        bad = Perturbation(2, coeffs, col_sphere_m2.kctx)
+        bad = Perturbation(col_sphere_m2, coeffs)
         with pytest.raises(GeometryError):
             q.stream_I(col_sphere_m2, bad, 1.0, 0.0)
 
     def test_perturbation_must_fit_the_collocation(self, col_sphere_m2):
-        # the stream integral reads m, the mode count and the kernel context
-        # from the collocation: an m = 3 perturbation must not pass for an
-        # m = 2 one, nor a spheroid's for the sphere's
+        # the stream integral reads m, the mode count and the kernel grid
+        # from the collocation: a perturbation of an m = 3 collocation must
+        # not pass for an m = 2 one, nor a spheroid's for the sphere's
         col = col_sphere_m2
         coeffs = small_perturbation(col, 0.02).coeffs
+        spheroid = q.KernelContext(q.make_profile("spheroid", a=2.0), 24, 7, 3)
         misfits = [
-            Perturbation(3, coeffs, col.kctx),
-            Perturbation(2, coeffs[:2], col.kctx),
-            Perturbation(2, coeffs[:, :-1], col.kctx),
-            Perturbation(2, coeffs, q.KernelContext(q.make_profile("spheroid", a=2.0), 24, 7, 3)),
+            Perturbation(q.Collocation(col.kctx, m=3, n_modes=4, n_theta=8), coeffs),
+            Perturbation(q.Collocation(spheroid, m=2, n_modes=4, n_theta=8), coeffs),
+            Perturbation(col, coeffs[:2]),
+            Perturbation(col, coeffs[:, :-1]),
         ]
         for bad in misfits:
             with pytest.raises(DomainError, match="collocation"):
@@ -141,13 +142,39 @@ class TestStreamPotential:
         # r = sin(phi) (1 - 2 cos(2 theta)) is negative near theta = 0
         coeffs = np.zeros((4, 24))
         coeffs[0] = -2.0 * np.sin(col_sphere_m2.kctx.nodes)
-        bad = Perturbation(2, coeffs, col_sphere_m2.kctx)
+        bad = Perturbation(col_sphere_m2, coeffs)
         with pytest.raises(GeometryError):
             q.velocity_residual(col_sphere_m2, 0.1, bad)
         with pytest.raises(GeometryError):
             q.mean_m(col_sphere_m2, 0.1, bad, 1.0)
         with pytest.raises(GeometryError):
             f_tilde_circle(col_sphere_m2, 0.1, bad, 1.0, 16)
+
+    def test_grid_radius_guard_on_every_path(self, col_sphere_m2):
+        # r = sin(phi) (1 - 1.2 cos(8 theta)) is -0.2 sin(phi) at theta = 0
+        # but positive at every collocation target, where cos(8 theta) is
+        # +-1/sqrt(2): the shape is judged on the kernel grid, the same way
+        # on every path
+        col = col_sphere_m2
+        coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
+        coeffs[3] = -1.2 * np.sin(col.kctx.nodes)
+        bad = Perturbation(col, coeffs)
+        assert np.min(bad.radius_at_nodes(0.0)) < 0.0
+        assert np.min(_radii(col, bad, col.kctx.nodes[: col.n_phi], col.theta)) > 1e-3
+        u = _pack(coeffs[:, : col.n_phi], 0.1)
+        t = np.zeros(len(u))
+        paths = [
+            lambda: q.f_tilde(col, 0.1, bad),
+            lambda: q.f_tilde_modes(col, 0.1, bad),
+            lambda: q.velocity_residual(col, 0.1, bad),
+            lambda: q.velocity_on_axis(col, bad, [0.0]),
+            lambda: q.stream_I(col, bad, 1.0, float(col.theta[0])),
+            lambda: _residual(col, u, t, 0.0),
+            lambda: _jacobian(col, u, t, 0.0),
+        ]
+        for path in paths:
+            with pytest.raises(GeometryError, match="kernel grid"):
+                path()
 
 
 class TestMean:
@@ -223,7 +250,7 @@ class TestFtilde:
         for eps in (2e-2, 1e-2):
             coeffs = np.zeros((4, 24))
             coeffs[0] = eps * bp.eigfun
-            f = Perturbation(2, coeffs, col_sphere_m2.kctx)
+            f = Perturbation(col_sphere_m2, coeffs)
             resids.append(np.max(np.abs(q.f_tilde(col_sphere_m2, bp.omega_m, f))))
         assert resids[0] / resids[1] == pytest.approx(4.0, rel=0.35)
 
@@ -254,9 +281,14 @@ class TestAxisVelocity:
         assert q.velocity_on_axis(col_sphere_m2, f, [0.3]) <= 1e-8
 
     def test_m1_rejected(self, col_sphere_m2):
-        f = Perturbation(1, np.zeros((4, 24)), col_sphere_m2.kctx)
-        with pytest.raises(DomainError):
-            q.velocity_on_axis(col_sphere_m2, f, [0.0])
+        # no m = 1 collocation, so no m = 1 perturbation, exists
+        with pytest.raises(DomainError, match="m must be >= 2"):
+            q.Collocation(col_sphere_m2.kctx, m=1)
+
+    def test_perturbation_of_another_collocation_rejected(self, col_sphere_m2):
+        other = q.Collocation(col_sphere_m2.kctx, m=3, n_modes=4, n_theta=8)
+        with pytest.raises(DomainError, match="collocation"):
+            q.velocity_on_axis(col_sphere_m2, small_perturbation(other, 0.05), [0.0])
 
     def test_m1_contamination_detected(self, col_sphere_m2):
         # a cos(theta) contamination produces a nonzero axis velocity
@@ -344,7 +376,7 @@ class TestNewtonAndBranch:
         pt = branch.points[0]
         assert branch.message == (
             "newton_correct: line search failed (residual 1.000e-03); last accepted point s = 0.003"
-            f" has r_min {pt.f.validate()['r_min']:.3e} against max r0 {np.max(pt.f.kctx.r0v):.3e}"
+            f" has r_min {pt.f.validate()['r_min']:.3e} against max r0 {np.max(pt.f.col.kctx.r0v):.3e}"
         )
         payload = json.loads((tmp_path / "out" / "branch.json").read_text())
         assert payload["failed_at"] == 1 and payload["message"] == branch.message
@@ -386,6 +418,14 @@ class TestNewtonAndBranch:
         for bad_t, bad_u in ((t[:-1], u), (t, u[:-1]), (t, np.append(u, 0.0))):
             with pytest.raises(DomainError, match="length"):
                 newton_correct(col, bad_t, 0.0, bad_u)
+
+    def test_bifurcation_point_must_fit_the_collocation(self, sphere):
+        # an m = 3 point would land on the m = 2 branch normalized by h*_3,
+        # one from an N = 16 grid would not broadcast
+        col = q.Collocation(q.KernelContext(sphere, 8, 7, 3), m=2, n_modes=2, n_theta=4)
+        for bp in (q.find_bifurcation_point(col.kctx, 3), q.find_bifurcation_point(q.KernelContext(sphere, 16, 7, 3), 2)):
+            with pytest.raises(DomainError, match="bifurcation point"):
+                q.continue_branch(col, 0.01, 1, bp=bp)
 
     @pytest.mark.parametrize("s_max", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_degenerate_s_max_rejected(self, col_sphere_m2, s_max):
@@ -621,7 +661,7 @@ class TestOneStreamPass:
         bp = q.find_bifurcation_point(col.kctx, 2)
         coeffs = np.zeros((col.n_modes, col.kctx.n_nodes))
         coeffs[0] = s * bp.eigfun
-        return bp, Perturbation(col.m, coeffs, col.kctx)
+        return bp, Perturbation(col, coeffs)
 
     @pytest.mark.parametrize("profile,n_nodes,n_modes", [("sphere", 8, 4), ("spheroid:0.7", 24, 2)])
     def test_jacobian_residual_is_bitwise_residual(self, profile, n_nodes, n_modes):
