@@ -19,7 +19,7 @@ from .kernel import (
     kappa,
     nu_omega,
 )
-from .linop import ModeFunction, apply_mode_direct, apply_mode_hyper, cross_validate, gateaux_check
+from .linop import apply_mode_direct, apply_mode_hyper, cross_validate, gateaux_check
 from .nonlinear import (
     Branch,
     BranchPoint,

@@ -192,8 +192,6 @@ def cmd_eigenfun(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
 
 def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     m = cfg.modes[0] if cfg.modes else 2
-    if m < 2:
-        raise DomainError(f"branch: mode m must be >= 2, got {m}")
     col = nonlinear.Collocation(ctx, m, n_modes=cfg.n_modes, n_theta=cfg.theta_nodes)
     branch = nonlinear.continue_branch(col, cfg.s_max, cfg.steps)
     theta_out = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -218,8 +216,8 @@ def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
         ]
         _write_csv(outdir / f"branch_point_{i + 1:03d}.csv", ["phi", "theta", "r"], rows)
     payload = {
-        "m": branch.m,
-        "omega_m": branch.omega_ref,
+        "m": branch.bp.m,
+        "omega_m": branch.bp.omega_m,
         "s_max": cfg.s_max,
         "steps": cfg.steps,
         "newton_tol": nonlinear.NEWTON_TOL,

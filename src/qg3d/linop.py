@@ -18,8 +18,6 @@ convergence of the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AccuracyError, DomainError
@@ -28,7 +26,6 @@ from .nonlinear import Collocation, Perturbation, f_tilde
 from .quadrature import double_exponential, interp_matrix, split_de
 
 __all__ = [
-    "ModeFunction",
     "apply_mode_hyper",
     "apply_mode_direct",
     "cross_validate",
@@ -36,27 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeFunction:
-    """Samples of a single angular-mode coefficient h_n on the grid."""
-
-    n: int
-    values: np.ndarray
-
-
-def _as_values(h) -> np.ndarray:
-    return np.asarray(h.values if isinstance(h, ModeFunction) else h, dtype=float)
-
-
-def apply_mode_hyper(ctx: KernelContext, n: int, omega: float, h) -> ModeFunction:
+def apply_mode_hyper(ctx: KernelContext, n: int, omega: float, h) -> np.ndarray:
     """(L_n h)(phi_i) = nu(phi_i) h_i - int H_n(phi_i, .) h via the
     kernel representation (split tanh-sinh rows, barycentric h)."""
-    hv = _as_values(h)
-    nu = nu_omega(ctx, omega).values
-    return ModeFunction(n, nu * hv - row_apply(ctx, n, hv))
+    hv = np.asarray(h, dtype=float)
+    return nu_omega(ctx, omega).values * hv - row_apply(ctx, n, hv)
 
 
-def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> ModeFunction:
+def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> np.ndarray:
     """Mode-n block evaluated from the double-integral representation:
 
         (L_n h)(phi) = h(phi) [ S1(phi)/r0(phi) - Omega ] - S2(phi)/r0(phi),
@@ -69,7 +53,7 @@ def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> ModeFuncti
     splits at the target; the lone singular point is (vphi, eta) =
     (phi, 0).
     """
-    hv = _as_values(h)
+    hv = np.asarray(h, dtype=float)
     lvl = ctx.direct_level
     eta_rule = double_exponential(0.0, np.pi, lvl)
     eta, weta = eta_rule.nodes, eta_rule.weights
@@ -89,13 +73,13 @@ def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> ModeFuncti
         s1 = 2.0 * np.einsum("p,e,pe->", base, weta * cos_eta, invroot) / (4.0 * np.pi)
         s2 = 2.0 * np.einsum("p,e,pe->", base * hq, weta * cos_neta, invroot) / (4.0 * np.pi)
         out[i] = hv[i] * (s1 / rp - omega) - s2 / rp
-    return ModeFunction(n, out)
+    return out
 
 
 def cross_validate(ctx: KernelContext, n: int, omega: float, h) -> float:
     """Max relative discrepancy between the two representations."""
-    hyper = apply_mode_hyper(ctx, n, omega, h).values
-    direct = apply_mode_direct(ctx, n, omega, h).values
+    hyper = apply_mode_hyper(ctx, n, omega, h)
+    direct = apply_mode_direct(ctx, n, omega, h)
     scale = float(np.max(np.abs(hyper)))
     if scale == 0.0:
         return 0.0
@@ -107,10 +91,10 @@ def gateaux_check(col: Collocation, omega: float, h, eps_list) -> np.ndarray:
     linearization: e(eps) = || (Ftilde(Omega, eps h cos(m theta))
     - Ftilde(Omega, 0)) / eps - cos(m theta) L_m h ||_inf, which must
     vanish linearly in eps (halving ratio about 2)."""
-    hv = _as_values(h)
+    hv = np.asarray(h, dtype=float)
     if len(hv) != col.kctx.n_nodes:
         raise DomainError("gateaux_check: h must be sampled on the collocation kernel grid")
-    lin = apply_mode_hyper(col.kctx, col.m, omega, hv).values[: col.n_phi]
+    lin = apply_mode_hyper(col.kctx, col.m, omega, hv)[: col.n_phi]
     target = lin[:, None] * np.cos(col.m * col.theta)[None, :]
     base = f_tilde(col, omega, None)
     errs = []

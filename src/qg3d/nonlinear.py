@@ -85,7 +85,7 @@ class Collocation:
     node n, which halves the solve; otherwise E = I_N.  theta targets
     are the n_theta first-kind cosine sample points of one half
     m-period, which diagonalize the retained cos(k m theta) modes,
-    k = 1..n_modes.
+    k = 1..n_modes, of wavenumbers ``km`` = k m.
 
     phi_level and eta_level are the tanh-sinh levels of the vphi and eta
     rules of the stream integral.  phi_level 3 is the smallest level that
@@ -126,9 +126,9 @@ class Collocation:
         rule = double_exponential(0.0, np.pi, self.eta_level)
         self.eta_nodes = rule.nodes
         self.eta_w = rule.weights
-        k = np.arange(1, self.n_modes + 1)
-        self.cos_ktheta = np.cos(k[:, None] * self.m * self.theta[None, :])
-        self.sin_ktheta = np.sin(k[:, None] * self.m * self.theta[None, :])
+        self.km = (np.arange(1, self.n_modes + 1) * self.m).astype(float)
+        self.cos_ktheta = np.cos(self.km[:, None] * self.theta[None, :])
+        self.sin_ktheta = np.sin(self.km[:, None] * self.theta[None, :])
         self._geom = {}
 
     def geometry(self, phi_t: float):
@@ -172,10 +172,7 @@ class Perturbation:
 
     def radius_at_nodes(self, theta) -> np.ndarray:
         """r(phi_i, theta) on the kernel grid for an array of theta."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = np.arange(1, self.coeffs.shape[0] + 1)
-        modes = np.cos(k[:, None] * self.col.m * theta[None, :])
-        return self.col.kctx.r0v[:, None] + np.einsum("kn,kt->nt", self.coeffs, modes)
+        return _radii(self.col, self, self.col.kctx.nodes, np.atleast_1d(np.asarray(theta, dtype=float)))
 
     def validate(self) -> dict:
         """Dirichlet extrapolants and min radius."""
@@ -303,7 +300,7 @@ def _angle_tables(col: Collocation, thetas: np.ndarray):
     signs = np.array([1.0, -1.0])
     angle = thetas[:, None, None] + signs[None, :, None] * col.eta_nodes[None, None, :]
     angle = angle.reshape(2 * len(thetas), len(col.eta_nodes)).T
-    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)[:, None, None]
+    km = col.km[:, None, None]
     return np.cos(km * angle), km * np.sin(km * angle), np.exp(1j * angle)
 
 
@@ -311,8 +308,7 @@ def _radii(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndarr
     """r(phi_i, theta_j) with f_k interpolated barycentrically at phi_i
     (an exact one-hot row at a grid node), shape (len(phis), len(thetas))."""
     P = interp_matrix(col.kctx.nodes, col.kctx.bary, phis)
-    k = np.arange(1, col.n_modes + 1)
-    modes = np.cos(k[:, None] * col.m * thetas[None, :])
+    modes = np.cos(col.km[:, None] * thetas[None, :])
     return col.kctx.profile.r0(phis)[:, None] + np.einsum("kt,kj->tj", f.coeffs @ P.T, modes)
 
 
@@ -479,9 +475,8 @@ def _velocity_form(col: Collocation, omega: float, f: Perturbation, R, bracket, 
     """Max-norm of the velocity form plus the theta derivative of the
     bracket, from the radii, bracket and boundary velocity of one plain
     ``_bracket`` pass on the collocation grid."""
-    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
-    dbracket = -np.einsum("kt,k,kj->tj", _theta_modes(col, bracket), km, col.sin_ktheta)
-    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.n_phi], km, col.sin_ktheta)
+    dbracket = -np.einsum("kt,k,kj->tj", _theta_modes(col, bracket), col.km, col.sin_ktheta)
+    dth_r = -np.einsum("kt,k,kj->tj", f.coeffs[:, : col.n_phi], col.km, col.sin_ktheta)
     phase = np.exp(1j * col.theta)[None, :]
     Fv = np.real((U - 1j * omega * R * phase) * (1j * dth_r + R) * np.conj(phase))
     return float(np.max(np.abs(Fv + dbracket)))
@@ -516,9 +511,8 @@ def velocity_on_axis(col: Collocation, f: Perturbation | None, z_list) -> float:
     ctx = col.kctx
     rule = periodic_trapezoid(256)
     eta, weta = rule.nodes, rule.weights
-    km = (np.arange(1, col.n_modes + 1) * col.m).astype(float)
     r_vals = f.radius_at_nodes(eta)
-    dr_vals = -np.einsum("kn,k,ke->ne", f.coeffs, km, np.sin(km[:, None] * eta[None, :]))
+    dr_vals = -np.einsum("kn,k,ke->ne", f.coeffs, col.km, np.sin(col.km[:, None] * eta[None, :]))
     worst = 0.0
     for z in np.atleast_1d(z_list):
         U = _axis_velocity_grid(ctx.sinv, np.cos(ctx.nodes), ctx.weights, eta, weta, r_vals, dr_vals, float(z))
@@ -546,10 +540,11 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class Branch:
-    """Continuation output; ``failed_at`` marks a truncated run."""
+    """Continuation output: ``bp`` is the bifurcation point (m, Omega_m,
+    h*_m) of the collocation, from which the branch starts; ``failed_at``
+    marks a truncated run."""
 
-    m: int
-    omega_ref: float
+    bp: BifurcationPoint
     points: list
     failed_at: int | None = None
     message: str = ""
@@ -667,34 +662,32 @@ def newton_correct(col: Collocation, t: np.ndarray, sigma: float, u: np.ndarray)
     return BranchPoint(float(sigma), omega, f, rnorm, it, _velocity_form(col, omega, f, *plain)), jac
 
 
-def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationPoint | None = None) -> Branch:
+def continue_branch(col: Collocation, s_max: float, steps: int) -> Branch:
     """Predictor-corrector continuation of the mode-m branch on the
     uniform amplitude grid s_k = k s_max / steps.
 
-    The corrector is ``newton_correct`` with the amplitude row t of
-    ``_amplitude_row`` and sigma = s_k.  The predictor works on packed
-    vectors, and the tangent (h*_m in mode 1, Omega_m) is a seed point at
-    s = 1.  With one previous point (the seed before the first step) it
-    scales that point's f part by s / s_prev and keeps its Omega; with
-    two it extrapolates them linearly.  A corrector failure truncates
-    the branch and records the step; after an accepted point the message
-    also gives that point's s, its ``Perturbation.validate`` r_min and
-    the profile's max r0, so a pinching shape shows as such.  s_max must
-    be finite and nonzero.
+    The branch starts from the collocation's own bifurcation point
+    (Omega_m, h*_m), ``find_bifurcation_point(col.kctx, col.m)``, which
+    depends on the profile, the grid and m alone and is returned as
+    ``Branch.bp``.  The corrector is ``newton_correct`` with the
+    amplitude row t of ``_amplitude_row`` for h*_m and sigma = s_k.  The
+    predictor works on packed vectors, and the tangent (h*_m in mode 1,
+    Omega_m) is a seed point at s = 1.  With one previous point (the
+    seed before the first step) it scales that point's f part by
+    s / s_prev and keeps its Omega; with two it extrapolates them
+    linearly.  A corrector failure truncates the branch and records the
+    step; after an accepted point the message also gives that point's s,
+    its ``Perturbation.validate`` r_min and the profile's max r0, so a
+    pinching shape shows as such.  s_max must be finite and nonzero.
     """
     if steps < 1:
         raise DomainError(f"continue_branch: steps must be >= 1, got {steps}")
     if not np.isfinite(s_max) or s_max == 0:
         raise DomainError(f"continue_branch: s_max must be finite and nonzero, got {s_max}")
-    if bp is None:
-        bp = find_bifurcation_point(col.kctx, col.m)
-    elif bp.m != col.m or len(bp.eigfun) != col.kctx.n_nodes:
-        raise DomainError(f"continue_branch: bifurcation point (m={bp.m}, {len(bp.eigfun)} nodes)"
-                          f" does not fit the collocation (m={col.m}, {col.kctx.n_nodes} nodes)")
-    hstar = np.asarray(bp.eigfun, dtype=float)
-    t = _amplitude_row(col, hstar)
+    bp = find_bifurcation_point(col.kctx, col.m)
+    t = _amplitude_row(col, bp.eigfun)
     seed = np.zeros(len(t))
-    seed[: col.n_phi] = hstar[: col.n_phi]
+    seed[: col.n_phi] = bp.eigfun[: col.n_phi]
     seed[-1] = bp.omega_m
     trail = [(1.0, seed)]  # (s, packed u) of the seed and the points
     points: list[BranchPoint] = []
@@ -715,7 +708,7 @@ def continue_branch(col: Collocation, s_max: float, steps: int, bp: BifurcationP
                     f"; last accepted point s = {last.s:.6g} has r_min {last.f.validate()['r_min']:.3e}"
                     f" against max r0 {float(np.max(col.kctx.r0v)):.3e}"
                 )
-            return Branch(col.m, bp.omega_m, points, failed_at=k, message=message)
+            return Branch(bp, points, failed_at=k, message=message)
         points.append(point)
         trail.append((point.s, _pack(point.f.coeffs[:, : col.n_phi], point.omega)))
-    return Branch(col.m, bp.omega_m, points)
+    return Branch(bp, points)

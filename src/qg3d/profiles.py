@@ -117,21 +117,23 @@ class Profile:
 def make_profile(kind: str, a: float = 1.0, phi=None, r0=None) -> Profile:
     """Construct a profile.
 
-    ``kind`` is one of "sphere", "spheroid" (horizontal semi-axis ``a``),
-    or "tabulated" (sample arrays ``phi``, ``r0`` covering [0, pi] with
-    zero endpoint values).
+    ``kind`` is one of "sphere", "spheroid" (horizontal semi-axis ``a``,
+    finite and > 0), or "tabulated" (finite sample arrays ``phi``, ``r0``
+    covering [0, pi] with zero endpoint values).
     """
     if kind == SPHERE:
         return Profile(SPHERE, 1.0)
     if kind == SPHEROID:
-        if a <= 0:
-            raise DomainError(f"make_profile: spheroid semi-axis must be > 0, got {a}")
+        if not (np.isfinite(a) and a > 0):
+            raise DomainError(f"make_profile: spheroid semi-axis must be finite and > 0, got {a}")
         return Profile(SPHEROID, float(a))
     if kind == TABULATED:
         phi = np.asarray(phi, dtype=float)
         r0 = np.asarray(r0, dtype=float)
         if phi.ndim != 1 or phi.shape != r0.shape or len(phi) < 4:
             raise DomainError("make_profile: tabulated needs matching 1-d arrays with >= 4 samples")
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(r0))):
+            raise DomainError("make_profile: tabulated samples must be finite")
         if np.any(np.diff(phi) <= 0):
             raise DomainError("make_profile: tabulated phi samples must be strictly increasing")
         if abs(phi[0]) > 1e-9 or abs(phi[-1] - np.pi) > 1e-9:

@@ -1,13 +1,18 @@
 """Quadrature rules and barycentric interpolation support.
 
-Three rule families cover everything the kernel and the nonlinear
+Two rule families cover everything the kernel and the nonlinear
 functional integrate:
 
-* composite Gauss-Legendre panels for smooth finite-interval integrands,
 * tanh-sinh (double-exponential) rules for integrands with endpoint
   algebraic/logarithmic singularities -- interior singularities are
   handled by splitting the interval at the singular abscissa,
 * the periodic trapezoid rule for smooth 2 pi-periodic integrands.
+
+The phi grid itself is the Gauss-Legendre rule that ``KernelContext``
+builds with ``numpy.polynomial.legendre.leggauss``.  Composite
+Gauss-Legendre panels (``gauss_panel``) and ``integrate`` are kept as
+library helpers for smooth finite-interval integrands; no solver path
+calls them.
 
 Rules are immutable value objects; applying one to an integrand is a
 plain weighted sum.

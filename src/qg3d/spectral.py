@@ -180,7 +180,7 @@ def _mu_normalized(v: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
     return -v if float(np.sum(v * mu_w)) < 0.0 else v
 
 
-def refine_eigenvalue(ctx: KernelContext, K: KernelMatrix, res: SpectralResult) -> tuple[float, np.ndarray]:
+def refine_eigenvalue(K: KernelMatrix, res: SpectralResult) -> tuple[float, np.ndarray]:
     """Re-solve a dominant eigenpair on the unsymmetrized matrix.
 
     The eigenpair of ``K.entries`` = diag(1/nu) B_n nearest to

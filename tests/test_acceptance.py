@@ -121,7 +121,7 @@ def test_criterion_06_bifurcation_points(ctx96, ctx192):
     worst_cross = 0.0
     for m in range(2, 7):
         Ks = q.assemble_kernel_matrix(ctx96, m, 0.0, strip_nu=True)
-        beta, _ = q.refine_eigenvalue(ctx96, Ks, q.largest_eigenvalue(Ks))
+        beta, _ = q.refine_eigenvalue(Ks, q.largest_eigenvalue(Ks))
         worst_cross = max(worst_cross, abs(oms[m] - (1.0 / 3.0 - beta)))
     assert worst_cross <= 1e-6
     worst_drift = 0.0
@@ -230,8 +230,8 @@ def test_criterion_12_branch_continuation(sphere, ctx96):
     t0 = time.perf_counter()
     kctx = q.KernelContext(sphere, 24, 7, 3)
     col = q.Collocation(kctx, m=2)
-    bp = q.find_bifurcation_point(kctx, 2)
-    branch = q.continue_branch(col, 0.03, 10, bp=bp)
+    branch = q.continue_branch(col, 0.03, 10)
+    bp = branch.bp
     assert branch.failed_at is None and len(branch.points) == 10
     worst_axis = worst_vres = 0.0
     for pt in branch.points:

@@ -39,6 +39,22 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--profile", f"file:{bad}")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["bifpoints", "dispersion"])
+    @pytest.mark.parametrize("spec", ["spheroid:nan", "spheroid:inf", "file:nan", "file:inf"])
+    def test_non_finite_profile_exit_1(self, tmp_path, capsys, command, spec):
+        # rejected at load, before any solve could end in a LinAlgError
+        kind, _, word = spec.partition(":")
+        if kind == "file":
+            phi = np.linspace(0.0, np.pi, 9)
+            cells = [f"{p:.17g},{np.sin(p):.17g}" for p in phi]
+            cells[4] = f"{phi[4]:.17g},{word}"
+            csv = tmp_path / f"{word}.csv"
+            csv.write_text("phi,r0\n" + "\n".join(cells) + "\n")
+            spec = f"file:{csv}"
+        code, _ = run(tmp_path, command, "--profile", spec, "--phi-nodes", "8", "--modes", "2", "--omega-grid=0")
+        assert code == 1
+        assert "cannot load profile" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         code, _ = run(tmp_path, "validate", "--profile", "file:/nonexistent.csv")
         assert code == 1
@@ -203,6 +219,11 @@ class TestBranch:
         code, out = run(tmp_path, command, "--profile", "sphere", "--phi-nodes", "8", "--modes", "2", *args)
         assert code == 2
         assert not list(out.glob("*_config.json"))
+
+    def test_mode_below_2_exit_2(self, tmp_path):
+        code, out = run(tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8", "--modes", "1", "--steps", "1")
+        assert code == 2
+        assert not (out / "branch.json").exists()
 
     def test_zero_modes_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")

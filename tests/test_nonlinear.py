@@ -74,7 +74,7 @@ def first_point(kctx, s, n_modes, n_theta, **levels):
     """The m = 2 branch point of one continuation step to amplitude s;
     ``levels`` (phi_level, eta_level) go to the collocation."""
     col = q.Collocation(kctx, m=2, n_modes=n_modes, n_theta=n_theta, **levels)
-    branch = q.continue_branch(col, s, 1, bp=q.find_bifurcation_point(kctx, 2))
+    branch = q.continue_branch(col, s, 1)
     assert branch.failed_at is None
     return branch.points[0]
 
@@ -311,8 +311,8 @@ class TestNewtonAndBranch:
         assert np.all(point.f.coeffs == 0.0)
 
     def test_branch_small(self, col_sphere_m2):
-        bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
-        branch = q.continue_branch(col_sphere_m2, 0.012, 4, bp=bp)
+        branch = q.continue_branch(col_sphere_m2, 0.012, 4)
+        bp = branch.bp
         assert branch.failed_at is None
         assert len(branch.points) == 4
         for pt in branch.points:
@@ -330,20 +330,18 @@ class TestNewtonAndBranch:
     def test_first_point_linear_prediction(self, col_sphere_m2):
         # || f(s) - s h* cos(m theta) || = O(s^2): the defect drops ~4x
         # when the first step is halved
-        bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
         defects = []
         for s in (0.008, 0.004):
-            branch = q.continue_branch(col_sphere_m2, s, 1, bp=bp)
+            branch = q.continue_branch(col_sphere_m2, s, 1)
             pt = branch.points[0]
             lin = np.zeros_like(pt.f.coeffs)
-            lin[0] = s * bp.eigfun
+            lin[0] = s * branch.bp.eigfun
             defects.append(np.max(np.abs(pt.f.coeffs - lin)))
         assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.5)
 
     def test_corrector_failure_truncates(self, col_sphere_m2):
         # an absurd amplitude breaks the geometry at the first predictor
-        bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
-        branch = q.continue_branch(col_sphere_m2, 5.0, 1, bp=bp)
+        branch = q.continue_branch(col_sphere_m2, 5.0, 1)
         assert branch.failed_at == 0
         assert branch.points == []
         assert branch.message
@@ -382,8 +380,8 @@ class TestNewtonAndBranch:
         assert payload["failed_at"] == 1 and payload["message"] == branch.message
 
     def test_amplitude_pairing_exact(self, col_sphere_m2):
-        bp = q.find_bifurcation_point(col_sphere_m2.kctx, 2)
-        branch = q.continue_branch(col_sphere_m2, 0.01, 2, bp=bp)
+        branch = q.continue_branch(col_sphere_m2, 0.01, 2)
+        bp = branch.bp
         w = col_sphere_m2.kctx.weights
         for pt in branch.points:
             pair = np.sum(pt.f.coeffs[0] * bp.eigfun * w) / np.sum(bp.eigfun ** 2 * w)
@@ -419,13 +417,16 @@ class TestNewtonAndBranch:
             with pytest.raises(DomainError, match="length"):
                 newton_correct(col, bad_t, 0.0, bad_u)
 
-    def test_bifurcation_point_must_fit_the_collocation(self, sphere):
-        # an m = 3 point would land on the m = 2 branch normalized by h*_3,
-        # one from an N = 16 grid would not broadcast
-        col = q.Collocation(q.KernelContext(sphere, 8, 7, 3), m=2, n_modes=2, n_theta=4)
-        for bp in (q.find_bifurcation_point(col.kctx, 3), q.find_bifurcation_point(q.KernelContext(sphere, 16, 7, 3), 2)):
-            with pytest.raises(DomainError, match="bifurcation point"):
-                q.continue_branch(col, 0.01, 1, bp=bp)
+    @pytest.mark.parametrize("profile,m", [("sphere", 2), ("spheroid:2", 3), ("asym", 2)])
+    def test_branch_starts_from_its_own_point(self, profile, m):
+        # the start (Omega_m, h*_m) depends on the profile, the grid and m
+        # alone, all of them the collocation's
+        kctx = kernel_context(profile, 8, de_level=6)
+        col = q.Collocation(kctx, m=m, n_modes=2, n_theta=4)
+        bp, own = q.continue_branch(col, 0.005, 1).bp, q.find_bifurcation_point(kctx, m)
+        assert bp.m == own.m == m
+        assert bp.omega_m == own.omega_m and bp.lam == own.lam
+        assert np.array_equal(bp.eigfun, own.eigfun)
 
     @pytest.mark.parametrize("s_max", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_degenerate_s_max_rejected(self, col_sphere_m2, s_max):
@@ -439,8 +440,7 @@ class TestNewtonAndBranch:
         # 4.7e-16 in Omega, 3.0e-14 in f_k, axis 5.8e-17)
         col = collocation("asym", 16, 2, de_level=6, n_theta=4)
         assert col.n_phi == col.kctx.n_nodes and np.array_equal(col.E, np.eye(col.n_phi))
-        bp = q.find_bifurcation_point(col.kctx, 2)
-        up, down = (q.continue_branch(col, s, 1, bp=bp).points[0] for s in (0.01, -0.01))
+        up, down = (q.continue_branch(col, s, 1).points[0] for s in (0.01, -0.01))
         assert abs(up.omega - down.omega) <= 1e-13
         assert np.max(np.abs(down.f.coeffs - [[-1.0], [1.0]] * up.f.coeffs)) <= 2e-13
         for pt in (up, down):
@@ -448,15 +448,15 @@ class TestNewtonAndBranch:
             assert q.velocity_on_axis(col, pt.f, [-0.5, 0.0, 0.3]) <= 1e-14
 
     def test_full_grid_matches_mirrored_solve(self):
-        # the sphere forced onto every node solves the same branch
-        # (measured 2.0e-15 in Omega and 2.2e-14 in f_k)
+        # the sphere forced onto every node solves the same branch, each
+        # collocation from its own bifurcation point (measured 4.7e-16 in
+        # Omega and 2.5e-14 in f_k)
         mirrored = collocation("sphere", 8, 4)
         kctx = q.KernelContext(mirrored.kctx.profile, 8, 7, 3)
         kctx.mirrored = False
         full = q.Collocation(kctx, m=2)
         assert (mirrored.n_phi, full.n_phi) == (4, 8)
-        bp = q.find_bifurcation_point(mirrored.kctx, 2)
-        a, b = (q.continue_branch(col, 0.01, 2, bp=bp).points[-1] for col in (mirrored, full))
+        a, b = (q.continue_branch(col, 0.01, 2).points[-1] for col in (mirrored, full))
         assert abs(a.omega - b.omega) <= 1e-14
         assert np.max(np.abs(a.f.coeffs - b.f.coeffs)) <= 2e-13
 
@@ -755,11 +755,10 @@ class TestEllipsoidOracle:
         # 1.9e-9 in Omega and 3.6e-8 in f_k)
         kctx = q.KernelContext(sphere, 24, 7, 3)
         col = q.Collocation(kctx, m=2, n_modes=4, n_theta=8)
-        bp = q.find_bifurcation_point(kctx, 2)
-        branch = q.continue_branch(col, 0.03, 10, bp=bp)
+        branch = q.continue_branch(col, 0.03, 10)
         assert branch.failed_at is None and len(branch.points) == 10
         for pt in branch.points:
-            omega, c = rotating_ellipsoid(pt.s, kctx.nodes, bp.eigfun, kctx.weights, 1.0, col.n_modes)
+            omega, c = rotating_ellipsoid(pt.s, kctx.nodes, branch.bp.eigfun, kctx.weights, 1.0, col.n_modes)
             assert abs(pt.omega - omega) <= 4e-9
             assert np.max(np.abs(pt.f.coeffs - c[:, None] * np.sin(kctx.nodes))) <= 8e-8
 

@@ -31,6 +31,21 @@ class TestMakeProfile:
         with pytest.raises(DomainError):
             q.make_profile("spheroid", a=-1.0)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_spheroid_semi_axis_must_be_finite_and_positive(self, a):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            q.make_profile("spheroid", a=a)
+
+    @pytest.mark.parametrize("column", ["phi", "r0"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_tabulated_samples_must_be_finite(self, column, bad):
+        # a NaN phi also passes the test np.diff(phi) <= 0 for increasing samples
+        samples = {"phi": np.linspace(0.0, np.pi, 50)}
+        samples["r0"] = np.sin(samples["phi"])
+        samples[column][20] = bad
+        with pytest.raises(DomainError, match="finite"):
+            q.make_profile("tabulated", **samples)
+
 
 class TestValidateProfile:
     def test_sphere_passes_any_grid(self, sphere):
