@@ -191,6 +191,8 @@ def cmd_eigenfun(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
 
 
 def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
+    if len(cfg.modes) > 1:
+        raise DomainError(f"branch continues one mode m, got modes {cfg.modes}: pass --modes with one value")
     m = cfg.modes[0] if cfg.modes else 2
     col = nonlinear.Collocation(ctx, m, n_modes=cfg.n_modes, n_theta=cfg.theta_nodes)
     branch = nonlinear.continue_branch(col, cfg.s_max, cfg.steps)
@@ -221,8 +223,8 @@ def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
         "s_max": cfg.s_max,
         "steps": cfg.steps,
         "newton_tol": nonlinear.NEWTON_TOL,
-        "phi_level": col.phi_level,
-        "eta_level": col.eta_level,
+        "n_vphi": col.n_vphi,
+        "n_eta": col.n_eta,
         "failed_at": branch.failed_at,
         "message": branch.message,
         "points": points_meta,

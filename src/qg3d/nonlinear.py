@@ -10,7 +10,10 @@ where I(f) is the Newtonian volume potential of the deformed body
 evaluated on its boundary.  The radial part of the triple integral is
 integrated in closed form (antiderivative of r / sqrt(r^2 - 2cr + d^2)),
 leaving a 2-d (vphi, eta) quadrature whose only singular point is the
-evaluation target; both directions split there and use tanh-sinh rules.
+evaluation target.  Each direction uses a rule graded toward it alone:
+Gauss-Legendre graded from both sides of the target colatitude in vphi
+(``graded_split``) and Kress's sigmoidal trapezoid rule on (0, pi] in
+eta (``sigmoidal_trapezoid``), both smooth elsewhere.
 One batched path, ``_stream``, evaluates I(f) for every caller: per phi
 target it contracts a block of theta targets and both eta half-ranges
 as one (vphi, eta, side) tensor, whether the targets are the collocation
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, SolverError
 from .kernel import KernelContext
-from .quadrature import double_exponential, interp_matrix, periodic_trapezoid, split_de
+from .quadrature import graded_split, interp_matrix, periodic_trapezoid, sigmoidal_trapezoid
 from .spectral import BifurcationPoint, find_bifurcation_point
 
 __all__ = [
@@ -68,6 +71,11 @@ NEWTON_TOL = 1e-8
 NEWTON_MAXIT = 25
 DAMP_MAX = 6
 
+# grading orders of the stream quadrature's vphi and eta rules (see
+# ``Collocation``)
+_VPHI_GRADING = 4
+_ETA_GRADING = 10
+
 
 # --------------------------------------------------------------------------
 # collocation setup
@@ -87,24 +95,26 @@ class Collocation:
     m-period, which diagonalize the retained cos(k m theta) modes,
     k = 1..n_modes, of wavenumbers ``km`` = k m.
 
-    phi_level and eta_level are the tanh-sinh levels of the vphi and eta
-    rules of the stream integral.  phi_level 3 is the smallest level that
-    the measured table ``tests/test_nonlinear.py::TestQuadratureLevels``
-    supports: there a branch point agrees with the rotating ellipsoid,
-    or with phi_level 5 on analytic non-ellipsoid profiles, to the Newton
-    and mode truncation floor (3.2e-15 in Omega on the sphere at
-    s = 0.03), where phi_level 2 is off by 5e-9 to 1e-7.  Each phi level
-    doubles the vphi nodes, and with them the cost of a stream pass.
-    eta_level stays at 4: level 3 costs a factor 30 in shape error on
-    the sphere.
+    n_vphi and n_eta are the node counts of the stream integral's rules:
+    ``graded_split`` with n_vphi Gauss points on each side of the target
+    colatitude, graded at order _VPHI_GRADING, and
+    ``sigmoidal_trapezoid`` with n_eta nodes on (0, pi], of order
+    _ETA_GRADING.  The defaults are the smallest sizes that the measured
+    table ``tests/test_nonlinear.py::TestQuadratureLevels`` supports: at
+    32 and 64 a branch point agrees with the rotating ellipsoid, or with
+    the solve at doubled counts on analytic non-ellipsoid profiles, to
+    the Newton and mode truncation floor (5.2e-15 in Omega on the sphere
+    at s = 0.03), where 24 Gauss points per side are off by up to 1.9e-12
+    (the analytic bump) and 48 eta nodes by up to 1.1e-12 (spheroid:2).
+    A stream pass costs in proportion to 2 n_vphi n_eta.
     """
 
     kctx: KernelContext
     m: int
     n_modes: int = 4
     n_theta: int = 8
-    phi_level: int = 3
-    eta_level: int = 4
+    n_vphi: int = 32
+    n_eta: int = 64
 
     def __post_init__(self):
         if self.m < 2:
@@ -123,7 +133,7 @@ class Collocation:
         self.n_phi = self.E.shape[1]
         j = np.arange(self.n_theta)
         self.theta = (2 * j + 1) * np.pi / (2 * self.m * self.n_theta)
-        rule = double_exponential(0.0, np.pi, self.eta_level)
+        rule = sigmoidal_trapezoid(self.n_eta, _ETA_GRADING)
         self.eta_nodes = rule.nodes
         self.eta_w = rule.weights
         self.km = (np.arange(1, self.n_modes + 1) * self.m).astype(float)
@@ -132,11 +142,11 @@ class Collocation:
         self._geom = {}
 
     def geometry(self, phi_t: float):
-        """Split tanh-sinh vphi rule at the target phi_t with the profile
+        """The vphi rule graded toward the target phi_t with the profile
         and interpolation samples at its nodes, built once per target."""
         key = float(phi_t)
         if key not in self._geom:
-            rule = split_de(0.0, np.pi, key, self.phi_level)
+            rule = graded_split(0.0, np.pi, key, self.n_vphi, _VPHI_GRADING)
             vphi = rule.nodes
             self._geom[key] = {
                 "wsin": rule.weights * np.sin(vphi),
@@ -227,7 +237,10 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
 
     Computed in place: the plain pass allocates four arrays of the
     broadcast shape and the partials pass six, the outputs among them,
-    each reused through ufunc ``out=`` once its value is dead.  Every
+    each reused through ufunc ``out=`` once its value is dead, and one
+    boolean mask.  numpy gives every ufunc call with a broadcast operand
+    a 64 KiB iterator buffer, so ``_stream`` passes c at the full shape
+    of the chunk.  Every
     element goes through the same floating-point operations in the same
     order as the out-of-place expressions that tests/test_nonlinear.py
     keeps as its reference, so the outputs are bitwise theirs.  The
@@ -244,11 +257,15 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
     z1 += s1
     np.divide(q, z1, out=z1, where=swap)
     np.maximum(z1, 1e-300, out=z1)
-    del swap
-    s0 = np.add(c * c, q, out=np.empty_like(d))
+    s0 = np.multiply(c, c, out=np.empty_like(d))
+    s0 += q
     np.sqrt(s0, out=s0)
-    z0 = np.add(np.abs(c), s0)
-    np.divide(q, z0, out=z0, where=np.logical_not(c <= 0))
+    z0 = np.abs(c, out=np.empty_like(d))
+    z0 += s0
+    np.less_equal(c, 0, out=swap)
+    np.logical_not(swap, out=swap)  # where(c <= 0, t0, q / t0), as a mask
+    np.divide(q, z0, out=z0, where=swap)
+    del swap
     np.maximum(z0, 1e-300, out=z0)
     if not partials:
         np.divide(z1, z0, out=z1)
@@ -274,22 +291,25 @@ def _radial_closed_form(rup, c, q, partials: bool = False):
     return K, d_rup, d_c, d_q
 
 
-# Elements in one chunk of a (vphi, eta, side) tensor: 12 vphi rows at
-# 109 eta nodes x 16 sides.  The closed form's cost per element rises
-# with the chunk size because of its full-size temporaries (measured 21-25
-# ns at 3.5k elements, 58 ns at 21k when it allocated 11 of them); in
-# place it peaks at 4.5 chunk sizes (plain) and 6.5 (partials), the
+# Elements in one chunk of a (vphi, eta, side) tensor: 16 vphi rows at
+# 64 eta nodes x 16 sides, so that a float array of a chunk is 128 KiB.
+# Above that size each chunk's fresh arrays page-fault anew (glibc's
+# default mmap threshold): the benchmark branch solve made about 1000
+# minor faults at 16 rows and 6000 at 20, and took 0.061 s against
+# 0.072 s (medians of alternating in-process runs).  In place the closed
+# form peaks at 4.1 chunk sizes (plain) and 6.0 (partials), within the
 # bounds of tests/test_nonlinear.py::TestRadialClosedForm.
-_CHUNK_ELEMS = 21_000
+_CHUNK_ELEMS = 16_384
 
 
 def _row_chunks(col: Collocation, n_rows: int) -> list:
     """Slices of vphi rows, as many per chunk (at least one) as fit
-    _CHUNK_ELEMS at the largest side count of a theta block, 2 n_theta.
-    The chunks depend on the collocation alone, so a target is summed in
-    the same order whatever other targets share its block."""
+    _CHUNK_ELEMS at the largest side count of a theta block, 2 n_theta;
+    the first chunk is the longest.  The chunks depend on the collocation
+    alone, so a target is summed in the same order whatever other targets
+    share its block."""
     step = max(1, _CHUNK_ELEMS // (len(col.eta_nodes) * 2 * col.n_theta))
-    return [slice(a, a + step) for a in range(0, n_rows, step)]
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 def _angle_tables(col: Collocation, thetas: np.ndarray):
@@ -348,7 +368,7 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
         Fk = f.coeffs @ geom["P"].T
         r0q = geom["r0q"]
         dcos2 = geom["dcos"] ** 2
-        W = geom["wsin"][:, None] * col.eta_w[None, :]            # (n_vphi, n_eta)
+        W = geom["wsin"][:, None] * col.eta_w[None, :]            # (vphi, eta)
         if partials:
             WP = geom["wsin"][:, None] * (geom["P"] @ col.E)
             Wc = W * cos_e[None, :]
@@ -368,16 +388,20 @@ def _stream(col: Collocation, f: Perturbation, phis: np.ndarray, thetas: np.ndar
             else:
                 y_dr = np.zeros(cs.shape)
                 y_r = np.zeros(cs.shape)
-            for sl in _row_chunks(col, len(r0q)):
+            chunks = _row_chunks(col, len(r0q))
+            # c at the full chunk shape, as ``_radial_closed_form`` wants it
+            cs_rows = np.broadcast_to(cs, (chunks[0].stop,) + cs.shape).copy()
+            for sl in chunks:
                 q = rs2[None, :, :] + dcos2[sl, None, None]
                 rup = r0q[sl, None, None] + np.einsum("kp,kes->pes", Fk[:, sl], tab)
+                c = cs_rows[: len(rup)]
                 if not partials:
-                    K, inv = _radial_closed_form(rup, cs[None, :, :], q)
+                    K, inv = _radial_closed_form(rup, c, q)
                     dr = -np.einsum("kp,kes->pes", Fk[:, sl], km_sin)
                     y_dr += np.einsum("pe,pes->es", W[sl], dr * inv)
                     y_r += np.einsum("pe,pes->es", W[sl], rup * inv)
                 else:
-                    K, d_rup, d_c, d_q = _radial_closed_form(rup, cs[None, :, :], q, partials=True)
+                    K, d_rup, d_c, d_q = _radial_closed_form(rup, c, q, partials=True)
                     H += WP[sl].T @ d_rup.reshape(len(d_rup), -1)
                     tc += Wc[sl].ravel() @ d_c.reshape(-1, n_sides)
                     tq += Ws[sl].ravel() @ d_q.reshape(-1, n_sides)

@@ -1,18 +1,23 @@
 """Quadrature rules and barycentric interpolation support.
 
-Two rule families cover everything the kernel and the nonlinear
+Three rule families cover everything the kernel and the nonlinear
 functional integrate:
 
 * tanh-sinh (double-exponential) rules for integrands with endpoint
   algebraic/logarithmic singularities -- interior singularities are
-  handled by splitting the interval at the singular abscissa,
+  handled by splitting the interval at the singular abscissa
+  (``split_de``, the kernel's row rules),
+* one-sided graded rules for an integrand singular at one known point
+  only, the two rules of the nonlinear stream quadrature:
+  ``graded_split``, Gauss-Legendre panels (``gauss_panel``) graded
+  toward an interior point from both sides, and ``sigmoidal_trapezoid``,
+  Kress's sigmoidal transform of the trapezoid rule on (0, pi] for a
+  periodic integrand singular at 0,
 * the periodic trapezoid rule for smooth 2 pi-periodic integrands.
 
 The phi grid itself is the Gauss-Legendre rule that ``KernelContext``
-builds with ``numpy.polynomial.legendre.leggauss``.  Composite
-Gauss-Legendre panels (``gauss_panel``) and ``integrate`` are kept as
-library helpers for smooth finite-interval integrands; no solver path
-calls them.
+builds with ``numpy.polynomial.legendre.leggauss``.  ``integrate`` is
+kept as a library helper; no solver path calls it.
 
 Rules are immutable value objects; applying one to an integrand is a
 plain weighted sum.
@@ -34,6 +39,8 @@ __all__ = [
     "double_exponential",
     "periodic_trapezoid",
     "split_de",
+    "graded_split",
+    "sigmoidal_trapezoid",
     "integrate",
     "barycentric_weights",
     "interp_matrix",
@@ -137,6 +144,80 @@ def split_de(a: float, b: float, singular_at: float, level: int) -> QuadratureRu
     return QuadratureRule(
         np.concatenate([left.nodes, right.nodes]), np.concatenate([left.weights, right.weights])
     )
+
+
+@functools.cache
+def _graded_reference(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only graded reference on (0, 1): the nodes u^p and weights
+    p u^(p-1) w of the n-point Gauss-Legendre rule (u, w) mapped by
+    x = u^p, which clusters them toward x = 0."""
+    g = gauss_panel(n, 0.0, 1.0)
+    x = g.nodes ** p
+    w = p * g.nodes ** (p - 1) * g.weights
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def graded_split(a: float, b: float, singular_at: float, n: int, p: int) -> QuadratureRule:
+    """Rule on (a, b) graded toward the interior point s: n Gauss points
+    per half, mapped by x = s -/+ L u^p with weight L p u^(p-1) w, L the
+    length of that half.  The ends a and b get plain Gauss points, so the
+    integrand should be smooth there.  Nodes increase."""
+    if not a < singular_at < b:
+        raise DomainError(
+            f"graded_split: singular point {singular_at} must lie strictly inside ({a}, {b})"
+        )
+    if n < 2:
+        raise DomainError(f"graded_split: n must be >= 2, got {n}")
+    if p < 1:
+        raise DomainError(f"graded_split: p must be >= 1, got {p}")
+    x, w = _graded_reference(n, p)
+    left, right = singular_at - a, b - singular_at
+    return QuadratureRule(
+        np.concatenate([singular_at - left * x[::-1], singular_at + right * x]),
+        np.concatenate([left * w[::-1], right * w]),
+    )
+
+
+@functools.cache
+def _sigmoidal_reference(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of ``sigmoidal_trapezoid``."""
+    s = np.pi * np.arange(1, n + 1) / n
+
+    def v(t):
+        return (1.0 / p - 0.5) * ((np.pi - t) / np.pi) ** 3 + (t - np.pi) / (p * np.pi) + 0.5
+
+    def dv(t):
+        return -3.0 * (1.0 / p - 0.5) * (np.pi - t) ** 2 / np.pi ** 3 + 1.0 / (p * np.pi)
+
+    A, B = v(s) ** p, v(2.0 * np.pi - s) ** p
+    dA = p * v(s) ** (p - 1) * dv(s)
+    dB = -p * v(2.0 * np.pi - s) ** (p - 1) * dv(2.0 * np.pi - s)
+    eta = 2.0 * np.pi * A / (A + B)
+    w = (np.pi / n) * 2.0 * np.pi * (dA * B - A * dB) / (A + B) ** 2
+    w[-1] *= 0.5  # eta = pi is the node both halves of the period share
+    eta.flags.writeable = False
+    w.flags.writeable = False
+    return eta, w
+
+
+def sigmoidal_trapezoid(n: int, p: int) -> QuadratureRule:
+    """Kress's order-p sigmoidal transform of the trapezoid rule, on the
+    half period (0, pi] of a 2 pi-periodic integrand singular at 0 only
+    (R. Kress, Numer. Math. 58 (1990) 145).  At s_k = pi k / n,
+    k = 1..n, the nodes are eta = 2 pi v(s)^p / (v(s)^p + v(2 pi - s)^p)
+    with v(s) = (1/p - 1/2)((pi - s)/pi)^3 + (s - pi)/(p pi) + 1/2, the
+    weights (pi / n) d eta/ds, halved at eta = pi.  Doubled about pi it
+    is the transformed trapezoid rule of the whole period.  p must be at
+    least 2: v'(0) = (3/2 - 2/p) / pi, so at p = 1 the first nodes fall
+    below 0."""
+    if n < 2:
+        raise DomainError(f"sigmoidal_trapezoid: n must be >= 2, got {n}")
+    if p < 2:
+        raise DomainError(f"sigmoidal_trapezoid: p must be >= 2, got {p}")
+    eta, w = _sigmoidal_reference(n, p)
+    return QuadratureRule(eta.copy(), w.copy())
 
 
 def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:

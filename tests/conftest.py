@@ -47,7 +47,7 @@ def asym_ctx():
 def col_sphere_m2(sphere):
     """Coarse nonlinear collocation for the sphere, m = 2."""
     kctx = q.KernelContext(sphere, 24, 7, 3)
-    return q.Collocation(kctx, m=2, n_modes=4, n_theta=8, phi_level=4, eta_level=4)
+    return q.Collocation(kctx, m=2, n_modes=4, n_theta=8, n_vphi=112, n_eta=112)
 
 
 @pytest.fixture(scope="session")

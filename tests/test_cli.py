@@ -160,7 +160,7 @@ class TestBranch:
         payload = json.loads((out / "branch.json").read_text())
         assert payload["failed_at"] is None
         assert payload["newton_tol"] == NEWTON_TOL
-        assert (payload["phi_level"], payload["eta_level"]) == (Collocation.phi_level, Collocation.eta_level)
+        assert (payload["n_vphi"], payload["n_eta"]) == (Collocation.n_vphi, Collocation.n_eta)
         assert len(payload["points"]) == 2
         for pt in payload["points"]:
             assert pt["residual"] <= 1e-8
@@ -225,13 +225,23 @@ class TestBranch:
         assert code == 2
         assert not (out / "branch.json").exists()
 
+    def test_more_than_one_mode_exit_2(self, tmp_path):
+        # branch continues one m: the rest of --modes would go unused
+        code, out = run(
+            tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8", "--modes", "2,3",
+            "--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.002", "--steps", "1",
+        )
+        assert code == 2
+        assert json.loads((out / "branch_config.json").read_text())["modes"] == [2, 3]
+        assert not (out / "branch.json").exists()
+
     def test_zero_modes_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")
         assert code == 2
 
     def test_modes_not_below_theta_nodes_exit_2(self, tmp_path):
         # n_modes >= n_theta makes the collocation system singular
-        args = ["branch", "--profile", "sphere", "--phi-nodes", "8", "--n-modes", "8", "--theta-nodes", "8", "--steps", "1"]
+        args = ["branch", "--profile", "sphere", "--phi-nodes", "8", "--modes", "2", "--n-modes", "8", "--theta-nodes", "8", "--steps", "1"]
         code, _ = run(tmp_path, *args)
         assert code == 2
 

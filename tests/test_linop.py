@@ -70,7 +70,7 @@ class TestCrossValidate:
 class TestGateaux:
     def test_halving_ratios(self, sphere):
         kctx = q.KernelContext(sphere, 24, 7, 3)
-        col = q.Collocation(kctx, m=2, phi_level=5, eta_level=5)
+        col = q.Collocation(kctx, m=2, n_vphi=224, n_eta=224)
         bp = q.find_bifurcation_point(kctx, 2)
         errs = gateaux_check(col, bp.omega_m, bp.eigfun, [1e-2, 5e-3, 2.5e-3])
         ratios = errs[:-1] / errs[1:]

@@ -70,10 +70,14 @@ def collocation(profile, n_nodes, n_modes, de_level=7, n_theta=8):
     return q.Collocation(kernel_context(profile, n_nodes, de_level), m=2, n_modes=n_modes, n_theta=n_theta)
 
 
-def first_point(kctx, s, n_modes, n_theta, **levels):
+# the stream quadrature's node counts at twice the defaults
+DOUBLED = {"n_vphi": 2 * q.Collocation.n_vphi, "n_eta": 2 * q.Collocation.n_eta}
+
+
+def first_point(kctx, s, n_modes, n_theta, **sizes):
     """The m = 2 branch point of one continuation step to amplitude s;
-    ``levels`` (phi_level, eta_level) go to the collocation."""
-    col = q.Collocation(kctx, m=2, n_modes=n_modes, n_theta=n_theta, **levels)
+    ``sizes`` (n_vphi, n_eta) go to the collocation."""
+    col = q.Collocation(kctx, m=2, n_modes=n_modes, n_theta=n_theta, **sizes)
     branch = q.continue_branch(col, s, 1)
     assert branch.failed_at is None
     return branch.points[0]
@@ -487,12 +491,14 @@ class TestRadialClosedForm:
 
     @staticmethod
     def chunk_inputs():
-        """One chunk of the benchmark branch, 12 vphi rows x 109 eta nodes x
-        16 sides, with c broadcast over the rows as ``_stream`` passes it."""
+        """One chunk of the benchmark branch, 16 vphi rows x 64 eta nodes x
+        16 sides, with c the same in every row, at the full shape, as
+        ``_stream`` passes it."""
         rng = np.random.default_rng(3)
-        rup = rng.uniform(0.05, 1.5, (12, 109, 16))
-        c = rng.uniform(-1.0, 1.0, (1, 109, 16))
+        rup = rng.uniform(0.05, 1.5, (16, 64, 16))
+        c = rng.uniform(-1.0, 1.0, (1, 64, 16))
         c[0, :8, 8:] = 0.0
+        c = np.repeat(c, len(rup), axis=0)
         q = rng.uniform(0.0, 1.0, rup.shape) ** 2
         q[0] = 1e-30  # tiny q: the log arguments q / t of the swapped sides are ~1e-30
         rup[1] = c[0]  # d == 0 exactly
@@ -518,10 +524,11 @@ class TestRadialClosedForm:
     @pytest.mark.parametrize("partials,bound,parent", [(False, 4.5, 11.0), (True, 6.5, 17.0)])
     def test_allocation_peak(self, partials, bound, parent):
         # tracemalloc peak of one call in chunk sizes: the outputs and the
-        # buffers they reuse (4 plain, 6 partials) plus numpy's iterator
-        # buffers for the broadcast c; measured 4.43 and 6.34.  The
-        # out-of-place expressions peak at 11.0 and 17.0, which also shows
-        # that tracemalloc sees numpy's allocations
+        # buffers they reuse (4 plain, 6 partials) plus a boolean mask;
+        # measured 4.14 and 6.01 (4.64 and 6.51 with c broadcast from one
+        # row, through numpy's iterator buffers).  The out-of-place
+        # expressions peak at 11.0 and 17.0, which also shows that
+        # tracemalloc sees numpy's allocations
         rup, c, q = self.chunk_inputs()
         peaks = []
         for fn in (_radial_closed_form, closed_form_reference):
@@ -586,9 +593,10 @@ class TestExactJacobian:
 
     @staticmethod
     def use_chunk_rows(col, monkeypatch, rows):
-        # 12 rows is the default chunk here; 150 leaves a remainder chunk of
-        # ~60 rows that carries real weight (the last rows of a rule sit
-        # near vphi = pi, where sin(vphi) and the weights vanish)
+        # the rules have 224 vphi rows here (9 per default chunk): 12 rows
+        # leave a remainder chunk of 8, and 150 one of 74 that carries real
+        # weight (the last rows of a rule sit near vphi = pi, where
+        # sin(vphi) and the weights vanish)
         monkeypatch.setattr(nonlinear, "_CHUNK_ELEMS", rows * len(col.eta_nodes) * 2 * col.n_theta)
         for phi in col.kctx.nodes[: col.n_phi]:
             assert len(col.geometry(phi)["wsin"]) % rows != 0
@@ -787,72 +795,94 @@ class TestEllipsoidOracle:
 
 
 class TestQuadratureLevels:
-    """The measured level table behind ``Collocation``'s default
-    phi_level 3 (eta_level 4 throughout, Newton driven to 1e-13).
+    """The measured size table behind ``Collocation``'s default node
+    counts of the stream quadrature, n_vphi = 32 Gauss points on each
+    side of the target and n_eta = 64 (Newton driven to 1e-13).
 
-    Each row solves one branch point at phi_level 2 and 3 and gates both
-    on the same bound: level 3 must pass it and level 2 must fail it, so
-    level 3 is the smallest level the table supports.  The error is
-    against the rotating ellipsoid on spheroid bases and against the
-    phi_level 5 solve on the analytic profiles of ``oracles``, never the
-    velocity-form residual, which reads 4.7e-9 on the sphere at every
-    level.  Each bound is the measured level-3 error times at most 5;
-    the measured |dOmega| / shape errors are quoted per row.  At s = 0.2
-    the ellipsoid rows are left out: the sphere reads its mode
-    truncation at every level (4.4e-4 in shape), and spheroid:0.5 fails
-    the line search before s = 0.1 at every level (its h* peaks at 4.0
-    against max r0 = 0.5, so the shape pinches).
+    Each row solves one branch point at the default sizes and gates it
+    on a bound that the default must pass.  The next smaller size in
+    each direction, n_vphi = 24 or n_eta = 48 (``SMALLER``), must fail
+    the same bound on the rows that ``FAILS`` names for it, and each
+    fails at least one row, so the default is the smallest size the
+    table supports.  The error is against the rotating ellipsoid on
+    spheroid bases and against the solve at doubled counts (64, 128) on
+    the analytic profiles of ``oracles``, never the velocity-form
+    residual.  Each bound is 2 to 7 times the measured default error (the
+    Omega errors of 2e-15 to 5e-15 are round-off); the measured |dOmega|
+    / shape errors are quoted per row as default; n_vphi 24; n_eta 48.  At s = 0.2 the ellipsoid rows are
+    left out: the sphere reads its mode truncation at every size (4.4e-4
+    in shape), and spheroid:0.5 fails the line search before s = 0.1
+    (its h* peaks at 4.0 against max r0 = 0.5, so the shape pinches).
     """
+
+    SMALLER = {"vphi": {"n_vphi": 24}, "eta": {"n_eta": 48}}
+    FAILS = {
+        "sphere": ("eta",),
+        "spheroid:2": ("vphi", "eta"),
+        "bump-0.03": ("vphi", "eta"),
+        "bump-0.2": ("vphi", "eta"),
+        "asym-0.03": ("vphi", "eta"),
+    }
 
     @staticmethod
     def gate(errors, omega_tol, shape_tol):
         return errors[0] <= omega_tol and errors[1] <= shape_tol
 
+    def check_row(self, row, errors_at, omega_tol, shape_tol):
+        """errors_at(sizes) is the (Omega, shape) error of the point
+        solved with the collocation sizes ``sizes``."""
+        assert self.gate(errors_at({}), omega_tol, shape_tol)
+        for direction in self.FAILS[row]:
+            assert not self.gate(errors_at(self.SMALLER[direction]), omega_tol, shape_tol)
+
+    def test_each_smaller_size_fails_a_row(self):
+        assert set().union(*self.FAILS.values()) == set(self.SMALLER)
+
     @pytest.mark.parametrize(
         "profile,a0,omega_tol,shape_tol",
         [
-            # level 2: 4.8e-9 / 5.9e-9, level 3: 3.2e-15 / 1.01e-10
+            # 5.2e-15 / 1.01e-10; 1.9e-15 / 1.01e-10; 8.1e-14 / 1.01e-10
             ("sphere", 1.0, 1e-14, 3e-10),
-            # level 2: 8.2e-9 / 2.0e-7, level 3: 6.4e-15 / 1.9e-13
+            # 3.2e-15 / 1.8e-13; 3.2e-13 / 9.3e-11; 1.1e-12 / 9.1e-13
             ("spheroid:2", 2.0, 2e-14, 5e-13),
         ],
     )
     def test_ellipsoid_rows(self, monkeypatch, profile, a0, omega_tol, shape_tol):
         monkeypatch.setattr(nonlinear, "NEWTON_TOL", 1e-13)
         kctx = kernel_context(profile, 24)
-        errors = {level: ellipsoid_errors(kctx, first_point(kctx, 0.03, 6, 12, phi_level=level), a0) for level in (2, 3)}
-        assert self.gate(errors[3], omega_tol, shape_tol)
-        assert not self.gate(errors[2], omega_tol, shape_tol)
+        self.check_row(
+            profile, lambda sizes: ellipsoid_errors(kctx, first_point(kctx, 0.03, 6, 12, **sizes), a0), omega_tol, shape_tol
+        )
 
     def test_flat_spheroid_is_level_independent(self, monkeypatch):
-        # spheroid:0.5 reads 2.8e-8 / 1.8e-6 against the ellipsoid at levels
-        # 3 and 4 (9.3e-9 / 1.8e-6 at level 2): N and the mode count set the
-        # error, so this row checks only that levels 3 and 4 agree
-        # (measured 1.8e-15 / 5.8e-14)
+        # spheroid:0.5 reads 2.8e-8 / 1.8e-6 against the ellipsoid at the
+        # default, at doubled counts and at either smaller size: N and the
+        # mode count set the error, so this row checks only that the
+        # default and doubled counts agree (measured 2.6e-15 / 8.3e-14)
         monkeypatch.setattr(nonlinear, "NEWTON_TOL", 1e-13)
         kctx = kernel_context("spheroid:0.5", 24)
-        pt3, pt4 = (first_point(kctx, 0.03, 6, 12, phi_level=level) for level in (3, 4))
-        assert abs(pt3.omega - pt4.omega) <= 5e-15
-        assert np.max(np.abs(pt3.f.coeffs - pt4.f.coeffs)) <= 2e-13
+        pt, fine = (first_point(kctx, 0.03, 6, 12, **sizes) for sizes in ({}, DOUBLED))
+        assert abs(pt.omega - fine.omega) <= 5e-15
+        assert np.max(np.abs(pt.f.coeffs - fine.f.coeffs)) <= 2e-13
 
     @pytest.mark.parametrize(
         "profile,s,n_nodes,n_modes,omega_tol,shape_tol",
         [
-            # level 2: 4.6e-8 / 6.5e-7, level 3: 7.0e-15 / 1.6e-12
-            pytest.param(bump_profile, 0.03, 24, 6, 3e-14, 5e-12, id="bump-0.03"),
-            # level 2: 1.0e-7 / 4.7e-6, level 3: 3.4e-13 / 1.9e-11
-            pytest.param(bump_profile, 0.2, 16, 4, 1e-12, 5e-11, id="bump-0.2"),
-            # every node solved; level 2: 3.5e-8 / 2.4e-7, level 3: 5.1e-15 / 8.8e-14
+            # 1.8e-15 / 1.1e-13; 1.9e-12 / 7.7e-11; 2.0e-13 / 2.3e-13
+            pytest.param(bump_profile, 0.03, 24, 6, 1e-14, 6e-13, id="bump-0.03"),
+            # 1.0e-14 / 1.4e-12; 1.4e-11 / 8.6e-10; 7.6e-13 / 2.0e-11
+            pytest.param(bump_profile, 0.2, 16, 4, 5e-14, 7e-12, id="bump-0.2"),
+            # every node solved; 3.3e-15 / 1.5e-13; 2.8e-15 / 1.5e-12; 3.3e-14 / 2.0e-13
             pytest.param(asym_profile, 0.03, 16, 4, 2e-14, 3e-13, id="asym-0.03"),
         ],
     )
-    def test_self_convergence_rows(self, monkeypatch, profile, s, n_nodes, n_modes, omega_tol, shape_tol):
+    def test_self_convergence_rows(self, request, monkeypatch, profile, s, n_nodes, n_modes, omega_tol, shape_tol):
         monkeypatch.setattr(nonlinear, "NEWTON_TOL", 1e-13)
         kctx = q.KernelContext(profile(), n_nodes, 7, 3)
-        ref = first_point(kctx, s, n_modes, 2 * n_modes, phi_level=5)
-        errors = {}
-        for level in (2, 3):
-            pt = first_point(kctx, s, n_modes, 2 * n_modes, phi_level=level)
-            errors[level] = (abs(pt.omega - ref.omega), np.max(np.abs(pt.f.coeffs - ref.f.coeffs)))
-        assert self.gate(errors[3], omega_tol, shape_tol)
-        assert not self.gate(errors[2], omega_tol, shape_tol)
+        ref = first_point(kctx, s, n_modes, 2 * n_modes, **DOUBLED)
+
+        def errors_at(sizes):
+            pt = first_point(kctx, s, n_modes, 2 * n_modes, **sizes)
+            return abs(pt.omega - ref.omega), np.max(np.abs(pt.f.coeffs - ref.f.coeffs))
+
+        self.check_row(request.node.callspec.id, errors_at, omega_tol, shape_tol)

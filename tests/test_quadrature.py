@@ -9,10 +9,14 @@ from qg3d.quadrature import (
     _de_reference,
     barycentric_weights,
     double_exponential,
+    _graded_reference,
+    _sigmoidal_reference,
     gauss_panel,
+    graded_split,
     integrate,
     interp_matrix,
     periodic_trapezoid,
+    sigmoidal_trapezoid,
     split_de,
 )
 
@@ -89,6 +93,72 @@ class TestRuleCache:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestGradedRules:
+    """The stream quadrature's rules: Gauss-Legendre graded toward an
+    interior point, and Kress's sigmoidal trapezoid rule on (0, pi]."""
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_graded_split_weight_sum(self, s):
+        rule = graded_split(0.0, np.pi, s, 32, 4)
+        assert np.sum(rule.weights) == pytest.approx(np.pi, abs=1e-14)
+        assert np.all(np.diff(rule.nodes) > 0) and rule.nodes[0] > 0.0 and rule.nodes[-1] < np.pi
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_graded_split_inverse_sqrt(self, s):
+        # at p = 2 the mapped integrand |x - s|^(-1/2) L 2 u is constant in
+        # u; only the rounding of the nodes next to s is left
+        rule = graded_split(0.0, np.pi, s, 16, 2)
+        exact = 2.0 * np.sqrt(s) + 2.0 * np.sqrt(np.pi - s)
+        assert integrate(rule, lambda x: np.abs(x - s) ** -0.5) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(48, 10), (64, 10), (128, 10), (64, 12)])
+    def test_sigmoidal_weight_sum(self, n, p):
+        # the weights are the trapezoid rule of d eta/ds, which vanishes
+        # at s = 0 to order p - 1: exact to round-off at these orders
+        rule = sigmoidal_trapezoid(n, p)
+        assert np.sum(rule.weights) == pytest.approx(np.pi, abs=1e-14)
+        assert rule.nodes[-1] == np.pi and np.all(np.diff(rule.nodes) > 0) and rule.nodes[0] > 0.0
+
+    def test_sigmoidal_log_sine(self):
+        # int_0^pi ln|2 sin(eta/2)| d eta = 0, singular at eta = 0 only
+        rule = sigmoidal_trapezoid(64, 10)
+        assert abs(integrate(rule, lambda e: np.log(np.abs(2.0 * np.sin(0.5 * e))))) <= 1e-14
+
+    @pytest.mark.parametrize("make", [
+        lambda: graded_split(0.0, 1.0, 0.0, 8, 4),
+        lambda: graded_split(0.0, 1.0, 1.0, 8, 4),
+        lambda: graded_split(0.0, 1.0, 1.5, 8, 4),
+        lambda: graded_split(0.0, 1.0, 0.5, 1, 4),
+        lambda: graded_split(0.0, 1.0, 0.5, 8, 0),
+        lambda: sigmoidal_trapezoid(1, 10),
+        lambda: sigmoidal_trapezoid(8, 1),
+    ], ids=["s-at-a", "s-at-b", "s-outside", "graded-n1", "graded-p0", "sigmoidal-n1", "sigmoidal-p1"])
+    def test_bad_input(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_reference_read_only(self):
+        graded_split(0.0, 1.0, 0.5, 8, 4)
+        sigmoidal_trapezoid(8, 10)
+        for arr in (*_graded_reference(8, 4), *_sigmoidal_reference(8, 10)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: graded_split(0.0, 1.0, 0.4, 8, 4),
+        lambda: sigmoidal_trapezoid(8, 10),
+    ], ids=["graded_split", "sigmoidal_trapezoid"])
+    def test_in_place_edit_does_not_leak(self, make):
+        first = make()
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 0.5
+        first.weights[:] *= 2.0
+        again = make()
+        assert np.array_equal(again.nodes, nodes)
+        assert np.array_equal(again.weights, weights)
 
 
 class TestPeriodicTrapezoid:
