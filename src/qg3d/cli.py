@@ -39,7 +39,8 @@ EXIT_SOLVER = 3
 class RunConfig:
     """Resolved run configuration (JSON file merged with CLI overrides).
     The solver settings default to the defaults of the ``KernelContext``
-    and ``nonlinear.Collocation`` fields they drive."""
+    and ``nonlinear.Collocation`` fields they drive.  ``modes`` defaults to
+    2..6, and to the one mode 2 for ``branch``, which continues one m."""
 
     profile: str = "sphere"
     phi_nodes: int = KernelContext.n_nodes
@@ -191,10 +192,9 @@ def cmd_eigenfun(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
 
 
 def cmd_branch(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
-    if len(cfg.modes) > 1:
+    if len(cfg.modes) != 1:
         raise DomainError(f"branch continues one mode m, got modes {cfg.modes}: pass --modes with one value")
-    m = cfg.modes[0] if cfg.modes else 2
-    col = nonlinear.Collocation(ctx, m, n_modes=cfg.n_modes, n_theta=cfg.theta_nodes)
+    col = nonlinear.Collocation(ctx, cfg.modes[0], n_modes=cfg.n_modes, n_theta=cfg.theta_nodes)
     branch = nonlinear.continue_branch(col, cfg.s_max, cfg.steps)
     theta_out = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     points_meta = []
@@ -274,7 +274,7 @@ def _parse_args(argv):
 
 
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
+    cfg = RunConfig(modes=[2]) if args.command == "branch" else RunConfig()
     hints = get_type_hints(RunConfig)
     if args.config:
         try:

@@ -28,14 +28,28 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
   itself would lose all digits near the diagonal.
 * Row integrals split the vphi range at the target node and use
   tanh-sinh rules on each side (the diagonal is a log singularity that
-  plain Gauss weights cannot see).
+  plain Gauss weights cannot see).  The pole tails of the two rules are
+  cut (``KernelContext.row_rule``): a node closer to a pole than
+  _POLE_CUT times the length of its half is dropped.  H_n carries
+  sin(vphi) r0(vphi)^(n+1), which vanishes at least like the cube of the
+  distance to the pole (H1), and the tanh-sinh weights are proportional
+  to that distance, so the cut tail is O(_POLE_CUT^4) of the row: at most
+  2.0e-18 of max|B_n| at the default (the size table in the tests).
+  The diagonal ends of the rules are kept whole.
 * The product-integration matrix B_n (split tanh-sinh rows against the
   barycentric Lagrange basis) is the one discretization of every mode:
   K_n^Omega is diag(1/nu) B_n, nu0 is the row sums of B_1 (the basis
   sums to one), and the B_n of several modes are built in one walk over
   the rows (``KernelContext.mode_b_matrices``): each row's split rule,
-  its n-independent geometry and its Lagrange matrix are formed once and
-  applied to every mode.
+  its n-independent geometry and its barycentric terms
+  bary_j / (t_p - phi_j) are formed once and serve every mode.  A row
+  node's weight is divided by the sum of its own terms, the sum that
+  ``interp_matrix`` normalizes by, and one vector-matrix product per
+  mode adds a chunk of nodes to the row; a node within 1e-14 of a grid
+  node (``quadrature.node_hits``, the rule ``interp_matrix`` uses too)
+  adds its weight to that node's column instead, and several such nodes
+  accumulate.  The walk forms no Lagrange matrix and does not call
+  ``interp_matrix``.
 * Equatorial mirror.  When r0(pi - phi) = r0(phi) to round-off (checked
   once per context on _MIRROR_PROBE interior points at _MIRROR_TOL
   relative, ``KernelContext.mirrored``), H_n(pi - phi, pi - vphi) =
@@ -63,7 +77,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .profiles import Profile
-from .quadrature import barycentric_weights, interp_matrix, split_de
+from .quadrature import barycentric_terms, barycentric_weights, node_hits, split_de
 from .specfun import f_n_many
 
 __all__ = [
@@ -81,14 +95,20 @@ __all__ = [
 
 # Targets per H_n evaluation in the row-integral loops.  A block shares
 # one f_n_many call; the bound keeps its temporaries small: one call for
-# all 96 rows of the default grid raised peak memory by 22 MB, and blocks
-# of 8 by 1.7 MB, for no measurable gain in speed over 4.
+# all 96 rows of the default grid raised peak memory by 22 MB.  Blocks of
+# 8 make the B_1..B_6 walk about 1.15x faster in process (fewer Horner
+# loops), but the dispersion benchmark then peaks at 35.9 MB against
+# 34.3 MB with 4.
 _ROW_BLOCK = 4
-# Row nodes per Lagrange matrix in the B_n walk.  With a whole row's
-# matrix (about 1700 x 96 at de_level 7) the dispersion benchmark peaked
-# at 35.4 MB, with chunks of 1024 at 35.0 MB and with 512 or 256 at
-# 34.4 MB; the walk's time did not move measurably.
+# Row nodes per chunk of barycentric terms in the B_n walk (about 1330
+# per row at de_level 7 after the pole cut).  The dispersion benchmark
+# peaks at 34.3-34.6 MB with 512, 34.9 MB with 768 and 35.0 MB with 1024,
+# whose chunks are about 1.2x faster per node in isolation.
 _LAGRANGE_CHUNK = 512
+# Pole cut of the row rules (``KernelContext.row_rule``), relative to the
+# length of each half of the split rule: it drops 21 % of the nodes of
+# the mirrored walk (N = 96, de_level 7).
+_POLE_CUT = 1e-5
 # Equatorial-mirror check of a profile: interior probe points and the
 # tolerance on |r0(pi - phi) - r0(phi)| relative to max r0.  Round-off
 # passes it (sphere, spheroids, tabulated profiles sampled from a
@@ -195,9 +215,14 @@ class KernelContext:
         )
 
     def row_rule(self, phi_t: float):
-        """Split tanh-sinh rule on (0, pi) with the singular point at phi_t."""
+        """Split tanh-sinh rule on (0, pi) with the singular point at phi_t,
+        without the pole tails: the nodes within _POLE_CUT times the length
+        of their half of a pole, t <= _POLE_CUT phi_t on the left and
+        pi - t <= _POLE_CUT (pi - phi_t) on the right, are dropped."""
         rule = split_de(0.0, np.pi, phi_t, self.de_level)
-        return rule.nodes, rule.weights
+        t = rule.nodes
+        keep = (t > _POLE_CUT * phi_t) & (np.pi - t > _POLE_CUT * (np.pi - phi_t))
+        return t[keep], rule.weights[keep]
 
     def _row_blocks(self, ns, targets: np.ndarray):
         """Yield (first, bounds, t, whs) for consecutive blocks of at most
@@ -238,10 +263,12 @@ class KernelContext:
         with (B_n h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node
         samples h (split tanh-sinh rows against the barycentric Lagrange
         basis).  The missing ones are built in one walk over the rows: each
-        row's rule and Lagrange matrix serve every mode, the latter built
-        _LAGRANGE_CHUNK row nodes at a time.  On a mirrored context the
-        walk covers the rows i < N/2 and the others are their mirror
-        images."""
+        row's rule and barycentric terms serve every mode, the latter built
+        _LAGRANGE_CHUNK row nodes at a time.  A chunk's row nodes carry
+        their weights over the row sums of their terms into one product
+        per mode, and a node within 1e-14 of a grid node adds its weight
+        to that node's column instead.  On a mirrored context the walk
+        covers the rows i < N/2 and the others are their mirror images."""
         ns = list(ns)
         for n in ns:
             if n < 1:
@@ -250,18 +277,25 @@ class KernelContext:
         if todo:
             N = self.n_nodes
             rows = N // 2 if self.mirrored else N
-            Bs = [np.zeros((N, N)) for _ in todo]
+            Bs = np.zeros((len(todo), N, N))
             for first, bounds, t, whs in self._row_blocks(todo, self.nodes[:rows]):
-                for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                hits, nears = node_hits(self.nodes, t)
+                for i, lo, hi in zip(range(first, rows), bounds[:-1], bounds[1:]):
                     for c in range(lo, hi, _LAGRANGE_CHUNK):
                         sl = slice(c, min(c + _LAGRANGE_CHUNK, hi))
-                        L = interp_matrix(self.nodes, self.bary, t[sl])
-                        for B, wh in zip(Bs, whs):
-                            B[first + r] += wh[sl] @ L
-                        del L  # freed before the next chunk's is built: peak memory
+                        h0, h1 = np.searchsorted(hits, [sl.start, sl.stop])    # the block's hits in this chunk
+                        hit, near = hits[h0:h1] - c, nears[h0:h1]
+                        T = barycentric_terms(self.nodes, self.bary, t[sl], hit, near)
+                        scaled = whs[:, sl] / T.sum(axis=1)    # the same sums interp_matrix divides by
+                        scaled[:, hit] = 0.0
+                        # a vector-matrix product per mode (a GEMM over the modes would
+                        # let BLAS round each B_n differently with the number of modes)
+                        Bs[:, i] += np.matmul(scaled[:, None, :], T)[:, 0]
+                        if hit.size:    # several nodes can round onto one grid node, so hits accumulate
+                            np.add.at(Bs[:, i], (slice(None), near), whs[:, sl][:, hit])
+                        del T  # freed before the next chunk's is built: peak memory
             if self.mirrored:
-                for B in Bs:
-                    B[rows:] = B[:rows][::-1, ::-1]
+                Bs[:, rows:] = Bs[:, :rows][:, ::-1, ::-1]
             self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
         return [self._cache[("B", n)] for n in ns]
 

@@ -43,6 +43,8 @@ __all__ = [
     "sigmoidal_trapezoid",
     "integrate",
     "barycentric_weights",
+    "node_hits",
+    "barycentric_terms",
     "interp_matrix",
 ]
 
@@ -239,28 +241,45 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def node_hits(nodes: np.ndarray, x: np.ndarray):
+    """(hit, near): the indices of the points of x within 1e-14 of a node,
+    and that node.  ``nodes`` must be strictly increasing with gaps above
+    2e-14 (checked by :func:`interp_matrix`); a point can then be within
+    1e-14 of one node at most, the nearer of its two neighbours, so only
+    that node is tested."""
+    right = np.clip(np.searchsorted(nodes, x), 1, len(nodes) - 1)
+    near = right - (np.abs(x - nodes[right - 1]) <= np.abs(x - nodes[right]))
+    hit = np.flatnonzero(np.abs(x - nodes[near]) < 1e-14)
+    return hit, near[hit]
+
+
+def barycentric_terms(nodes: np.ndarray, bary_w: np.ndarray, x: np.ndarray, hit, near) -> np.ndarray:
+    """T[p, j] = bary_w[j] / (x_p - nodes[j]), the terms of the second-form
+    barycentric formula, whose row sums normalize them, with the
+    :func:`node_hits` ``hit`` and ``near`` of x: a hit row holds
+    bary_w[near] in place of the division by zero, so every term is
+    finite, and the caller gives that point the node's unit row."""
+    T = x[:, None] - nodes
+    T[hit, near] = 1.0
+    np.divide(bary_w, T, out=T)
+    return T
+
+
 def interp_matrix(nodes: np.ndarray, bary_w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix L with L[p, j] = l_j(x_p), the Lagrange basis on ``nodes``
-    evaluated at the points ``x`` (second-form barycentric formula).
+    evaluated at the points ``x`` (second-form barycentric formula): the
+    :func:`barycentric_terms` over their row sums, and a point within
+    1e-14 of a node takes that node's unit row.
 
     ``nodes`` must be strictly increasing with gaps above 2e-14, else
-    DomainError.  A point within 1e-14 of a node takes that node's unit
-    row; with such gaps it can be within 1e-14 of one node at most, the
-    nearer of its two neighbours, so only that node is tested and the
-    differences are divided in place.
+    DomainError.
     """
     nodes = np.asarray(nodes, dtype=float)
     if not np.all(np.diff(nodes) > 2e-14):
         raise DomainError("interp_matrix: nodes must be strictly increasing with gaps above 2e-14")
     x = np.asarray(x, dtype=float)
-    L = x[:, None] - nodes[None, :]
-    rows = np.arange(len(x))
-    right = np.clip(np.searchsorted(nodes, x), 1, len(nodes) - 1)
-    near = right - (np.abs(L[rows, right - 1]) <= np.abs(L[rows, right]))
-    hit = np.flatnonzero(np.abs(L[rows, near]) < 1e-14)
-    near = near[hit]
-    L[hit, near] = 1.0
-    np.divide(bary_w, L, out=L)
+    hit, near = node_hits(nodes, x)
+    L = barycentric_terms(nodes, bary_w, x, hit, near)
     L /= L.sum(axis=1)[:, None]
     L[hit] = 0.0
     L[hit, near] = 1.0

@@ -405,7 +405,7 @@ def _fn_tables(n: int) -> _FnTable:
         G_num, G_den = G_num * (2 * n + 1 + 2 * k) * (2 * k + 1), G_den * (2 * n + 2 + 2 * k) * (2 * k + 2)
         kum.append(G_num / G_den)
         d_fac = (a + k + 1) * (k + 1.5) / ((a + k + 1.5) * (k + 1))
-        for j, we in enumerate(w_edges):
+        for j, we in enumerate(w_edges.tolist()):    # floats: numpy scalars made the tables 1.3x slower
             if k > 0 and not w_terms[j] and _tail_within(kum[k] * we ** k, we, _SERIES_EXIT):
                 w_terms[j] = k
             if k > 0 and not dw_terms[j] and _tail_within((k + 1) * kum[k + 1] * we ** k, we * d_fac, d_tol):
@@ -432,21 +432,29 @@ def _horner(coef: np.ndarray, terms: tuple, b: np.ndarray, z: np.ndarray) -> np.
     summing are a prefix of z, and a bucket's points join it when k
     reaches their own term count.  Each point then gets exactly the
     operations of a Horner sum of its own length, in max(terms) numpy
-    steps instead of one loop per bucket.
+    steps instead of one loop per bucket.  The steps between two joins
+    run on fixed views of the prefix, with the coefficients as floats.
     """
-    counts = np.bincount(b, minlength=len(terms))[::-1]
-    run_terms = terms[::-1]
-    stops = np.cumsum(counts)
+    # (k, stop) per join: at step k the points up to stop join the prefix
+    joins, start = [], 0
+    for t, stop in zip(terms[::-1], np.cumsum(np.bincount(b, minlength=len(terms))[::-1]).tolist()):
+        if stop > start:
+            joins.append((t - 1, stop))
+            start = stop
+    cs = coef.tolist()
     s = np.empty_like(z)
-    m = j = 0
-    for k in range(max((t for t, c in zip(run_terms, counts) if c), default=0) - 1, -1, -1):
-        if m:
-            s[:m] *= z[:m]
-            s[:m] += coef[k]
-        while j < len(run_terms) and run_terms[j] > k:    # empty runs above the start join as no-ops
-            s[m:stops[j]] = coef[k]
-            m = stops[j]
-            j += 1
+    sm, zm = s[:0], z[:0]
+    top = joins[0][0] if joins else -1
+    for k_join, stop in joins:
+        for k in range(top, k_join - 1, -1):    # the prefix's steps down to this join's
+            sm *= zm
+            sm += cs[k]
+        s[len(sm):stop] = cs[k_join]
+        sm, zm = s[:stop], z[:stop]
+        top = k_join - 1
+    for k in range(top, -1, -1):
+        sm *= zm
+        sm += cs[k]
     return s
 
 

@@ -16,6 +16,7 @@ of size N/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +100,13 @@ def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     w = S @ v
     for it in range(1, POWER_MAXIT + 1):
         lam = float(v @ w)
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))    # numpy's 2-norm of a real vector, without its dispatch
         if norm == 0.0:
             raise SolverError("largest_eigenvalue: iterate collapsed to zero")
         v = w / norm
         w = S @ v  # the residual's product is the next step's
-        resid = float(np.linalg.norm(w - lam * v))
+        r = w - lam * v
+        resid = math.sqrt(r.dot(r))
         if resid <= POWER_TOL * max(1.0, abs(lam)):
             break
     else:

@@ -235,6 +235,27 @@ class TestBranch:
         assert json.loads((out / "branch_config.json").read_text())["modes"] == [2, 3]
         assert not (out / "branch.json").exists()
 
+    def test_empty_modes_exit_2(self, tmp_path):
+        # an empty --modes would leave m to a default the config echo does not show
+        code, out = run(
+            tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8", "--modes", "",
+            "--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.002", "--steps", "1",
+        )
+        assert code == 2
+        assert json.loads((out / "branch_config.json").read_text())["modes"] == []
+        assert not (out / "branch.json").exists()
+
+    def test_default_mode_is_2(self, tmp_path):
+        # without --modes, branch continues m = 2, not the list 2..6 of the
+        # spectral commands
+        code, out = run(
+            tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8",
+            "--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.002", "--steps", "1",
+        )
+        assert code == 0
+        assert json.loads((out / "branch_config.json").read_text())["modes"] == [2]
+        assert json.loads((out / "branch.json").read_text())["m"] == 2
+
     def test_zero_modes_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "branch", "--profile", "sphere", *FAST, "--modes", "2", "--n-modes", "0")
         assert code == 2

@@ -10,8 +10,8 @@ from scipy import special as sps
 import qg3d as q
 from qg3d.errors import DomainError
 from qg3d import kernel
-from qg3d.kernel import _LAGRANGE_CHUNK, _ROW_BLOCK, _chordal, _cn, _hn_values, row_apply
-from qg3d.quadrature import interp_matrix, split_de
+from qg3d.kernel import _LAGRANGE_CHUNK, _POLE_CUT, _ROW_BLOCK, _chordal, _cn, _hn_values, row_apply
+from qg3d.quadrature import barycentric_terms, interp_matrix, node_hits, split_de
 from qg3d.specfun import f_n_many
 
 
@@ -233,6 +233,27 @@ class TestRowBlocks:
             ref = wh @ interp_matrix(ctx.nodes, ctx.bary, t)
             assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_hits_in_one_chunk_accumulate(self, ctx):
+        # three row nodes on one grid node, in one chunk, each with a weight
+        # of its own: B gets their sum, as the Lagrange rows of
+        # interp_matrix give it (a plain fancy += would keep one of them)
+        fresh = self._fresh(ctx)
+        j = ctx.n_nodes - 3    # a node no walked row targets
+        rule = fresh.row_rule
+
+        def with_hits(pt):
+            t, w = rule(pt)
+            return np.insert(t, 10, np.full(3, ctx.nodes[j])), np.insert(w, 10, [0.1, 0.2, 0.3])
+
+        fresh.row_rule = with_hits
+        B = fresh.mode_b_matrix(2)
+        for i, pt in enumerate(ctx.nodes[:_walked(ctx)]):
+            t, w = with_hits(pt)
+            _, near = node_hits(ctx.nodes, t[:_LAGRANGE_CHUNK])
+            assert np.count_nonzero(near == j) == 3
+            ref = (w * _hn_values(ctx.profile, 2, pt, t)) @ interp_matrix(ctx.nodes, ctx.bary, t)
+            assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_b_matrix_mirror(self, ctx):
         for n in (1, 2, 3):
             B = ctx.mode_b_matrix(n)
@@ -287,8 +308,78 @@ def _profile(name):
         return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.sin(phi) ** 2))
     if name == "asym":
         return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.cos(phi)))
+    if name == "sin2":
+        return q.make_profile("tabulated", phi=phi, r0=np.sin(phi) ** 2)
     kind, _, a = name.partition(":")
     return q.make_profile(kind, a=float(a or 1.0))
+
+
+class TestPoleCut:
+    """The measured size table behind ``_POLE_CUT``: the row rules drop
+    the split tanh-sinh nodes within _POLE_CUT times the length of their
+    half of a pole.  H_n carries sin(vphi) r0(vphi)^(n+1), at least the
+    cube of the distance to the pole, and the dropped weights are
+    proportional to that distance, so the tail shrinks like the cut's
+    fourth power.
+
+    Each row measures the dropped tail itself, the largest
+    |sum over dropped nodes of w H_n(phi_i, t) l_j(t)| over the rows i
+    and columns j of B_1..B_8, relative to max|B_n| (de_level 7).  The
+    default cut must keep it within 2e-15, and a cut 30x larger must
+    exceed that on the rows ``FAILS`` names.  (Two whole walks with and
+    without the cut differ by 9.8e-16 to 1.5e-15 on the five profiles at
+    N = 32 and 96: the rounding of chunk boundaries that move with the
+    dropped nodes, not the cut.)
+    Measured tails are quoted per row as default; 30x.
+    """
+
+    BOUND = 2e-15
+    LARGER = 30
+    FAILS = {("sphere", 32), ("spheroid:0.5", 32), ("spheroid:2", 32), ("asym", 32), ("sphere", 96), ("spheroid:2", 96)}
+
+    @staticmethod
+    def tails(ctx, cuts):
+        """The dropped tail of each cut in ``cuts``, relative to max|B_n|."""
+        modes = range(1, 9)
+        scale = [np.max(np.abs(B)) for B in ctx.mode_b_matrices(modes)]
+        worst = np.zeros(len(cuts))
+        for pt in ctx.nodes:
+            rule = split_de(0.0, np.pi, pt, ctx.de_level)
+            for c, cut in enumerate(cuts):
+                drop = (rule.nodes <= cut * pt) | (np.pi - rule.nodes <= cut * (np.pi - pt))
+                t, w = rule.nodes[drop], rule.weights[drop]
+                L = interp_matrix(ctx.nodes, ctx.bary, t)
+                for n, sc in zip(modes, scale):
+                    worst[c] = max(worst[c], np.max(np.abs((w * _hn_values(ctx.profile, n, pt, t)) @ L)) / sc)
+        return worst
+
+    def test_cut_is_the_row_rule(self, ctx_sphere_small):
+        for pt in ctx_sphere_small.nodes[[0, 7, 30]]:
+            rule = split_de(0.0, np.pi, pt, ctx_sphere_small.de_level)
+            keep = (rule.nodes > _POLE_CUT * pt) & (np.pi - rule.nodes > _POLE_CUT * (np.pi - pt))
+            t, w = ctx_sphere_small.row_rule(pt)
+            assert 0 < len(t) < len(rule.nodes)
+            assert np.array_equal(t, rule.nodes[keep]) and np.array_equal(w, rule.weights[keep])
+
+    def test_larger_cut_fails_a_row(self):
+        assert self.FAILS
+
+    @pytest.mark.parametrize(
+        "name,N",
+        [
+            ("sphere", 32),          # 1.2e-19; 1.1e-13
+            ("spheroid:0.5", 32),    # 1.9e-20; 1.6e-14
+            ("spheroid:2", 32),      # 8.4e-19; 7.2e-13
+            ("asym", 32),            # 1.5e-19; 1.3e-13
+            ("sin2", 32),            # 7.5e-29; 4.1e-20
+            ("sphere", 96),          # 2.8e-19; 1.3e-13
+            ("spheroid:2", 96),      # 2.0e-18; 8.8e-13
+        ],
+    )
+    def test_size_table(self, name, N):
+        default, larger = self.tails(q.KernelContext(_profile(name), N, 7, 3), [_POLE_CUT, self.LARGER * _POLE_CUT])
+        assert default <= self.BOUND
+        assert bool(larger > self.BOUND) is ((name, N) in self.FAILS)
 
 
 class TestOneFnCallPerBlock:
@@ -372,8 +463,10 @@ class TestEquatorialMirror:
             assert np.max(np.abs(Bh - Bf)) <= 1e-12 * np.max(np.abs(Bf))
 
     def test_asymmetric_bitwise_full_walk(self, asym_ctx):
-        # the per-row loop with the walk's chunking and reductions: an
-        # asymmetric profile must not be touched by the mirror at all
+        # the per-row loop with the walk's chunking and arithmetic (weights
+        # over the sums of their barycentric terms, hits added to their
+        # node's column): an asymmetric profile must not be touched by the
+        # mirror at all
         def row(pt, n):
             t, w = asym_ctx.row_rule(pt)
             return t, w * _hn_values(asym_ctx.profile, n, pt, t)
@@ -383,7 +476,12 @@ class TestEquatorialMirror:
             t, wh = row(pt, 2)
             for c in range(0, len(t), _LAGRANGE_CHUNK):
                 sl = slice(c, c + _LAGRANGE_CHUNK)
-                ref[i] += wh[sl] @ interp_matrix(asym_ctx.nodes, asym_ctx.bary, t[sl])
+                hit, near = node_hits(asym_ctx.nodes, t[sl])
+                T = barycentric_terms(asym_ctx.nodes, asym_ctx.bary, t[sl], hit, near)
+                scaled = wh[sl] / T.sum(axis=1)
+                scaled[hit] = 0.0
+                ref[i] += scaled @ T
+                np.add.at(ref[i], near, wh[sl][hit])
         assert np.array_equal(asym_ctx.mode_b_matrix(2), ref)
         rows = [np.add.reduceat(row(pt, 1)[1], [0])[0] for pt in _kappa_midpoints(asym_ctx)]
         assert asym_ctx.kappa == min(np.min(asym_ctx.nu0), min(rows))

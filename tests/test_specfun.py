@@ -268,6 +268,34 @@ class TestFnBuckets:
             assert np.array_equal(f_n_many(n, 1.0 - u, u), before[n])
 
 
+class TestHorner:
+    """``_horner``'s one loop over all buckets is bitwise a plain Horner
+    sum per bucket, each of that bucket's own length."""
+
+    @staticmethod
+    def _plain(coef, terms, z):
+        s = np.full_like(z, coef[terms - 1])
+        for k in range(terms - 2, -1, -1):
+            s = s * z + coef[k]
+        return s
+
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    @pytest.mark.parametrize("empty", [(), (0, 3), (-1,), (-2, -1)])
+    def test_plain_sum_per_bucket(self, n, empty):
+        tab = specfun._fn_tables(n)
+        rng = np.random.default_rng(n)
+        for coef, terms, edges in ((tab.kum, tab.w_terms, tab.w_edges), (tab.cd, tab.u_terms, tab.u_edges)):
+            z = rng.uniform(0.0, edges[-1], 2000)
+            b = specfun._bucket(z, edges)
+            keep = ~np.isin(b, np.arange(len(terms))[list(empty)])
+            z, b = z[keep], b[keep]
+            order = np.argsort(-b, kind="stable")
+            z, b = z[order], b[order]
+            got = specfun._horner(coef, terms, b, z)
+            for j, t in enumerate(terms):
+                assert np.array_equal(got[b == j], self._plain(coef, t, z[b == j]))
+
+
 _MODES = [*range(1, 9), 12]
 
 
