@@ -364,7 +364,9 @@ class KernelMatrix:
         sym_entries_ij = sqrt(mu_w_i mu_w_j) (M_ij + M_ji) / (mu_w_i + mu_w_j),
 
     bitwise symmetric by construction and equal to S wherever S is
-    already symmetric.
+    already symmetric.  ``mirrored`` is the context's
+    ``KernelContext.mirrored``: the matrices are then centrosymmetric to
+    round-off.
     """
 
     n: int
@@ -373,6 +375,7 @@ class KernelMatrix:
     sym_entries: np.ndarray
     nu: np.ndarray
     mu_w: np.ndarray
+    mirrored: bool
 
 
 def assemble_kernel_matrix(
@@ -399,7 +402,9 @@ def assemble_kernel_matrix(
     M = B / nu_vals[:, None]
     mu_w = ctx.mv * ctx.weights * nu_vals
     S = np.sqrt(np.outer(mu_w, mu_w)) * (M + M.T) / np.add.outer(mu_w, mu_w)
-    return KernelMatrix(n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w)
+    return KernelMatrix(
+        n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w, mirrored=ctx.mirrored
+    )
 
 
 def row_apply(ctx: KernelContext, n: int, h: np.ndarray) -> np.ndarray:

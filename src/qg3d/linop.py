@@ -53,6 +53,14 @@ def apply_mode_direct(ctx: KernelContext, n: int, omega: float, h) -> np.ndarray
     splits at the target; the lone singular point is (vphi, eta) =
     (phi, 0).
     """
+    # The default direct_level 3 is chosen so that this rule's own error
+    # dominates the discrepancy: on the sphere (n = 2) it reads 2.5e-9 at
+    # N = 48, 96 and 192.  At level 4 it falls to 1.9e-13, 7.8e-13 and
+    # 2.8e-12 in about the same time, but then it grows as the grid
+    # doubles, and criterion 7's doubling ratio (level 4 -> 5) reads 2.4,
+    # above its bound of 0.5.  Nor can the level follow de_level: at
+    # de_level 7, where the CLI crosscheck is tested, the 2-d rule would
+    # have 872 x 1683 nodes per target against 55 x 106 at level 3.
     hv = np.asarray(h, dtype=float)
     lvl = ctx.direct_level
     eta_rule = double_exponential(0.0, np.pi, lvl)

@@ -1,27 +1,29 @@
 """Dispersion relation, bifurcation points and spectral verifications.
 
 The dispersion relation is the map Omega -> lambda_n(Omega), the largest
-eigenvalue of K_n^Omega = diag(1/nu) B_n, found by power iteration on its
-measure-weighted symmetrization (``KernelMatrix.sym_entries``).  It is
-strictly positive, simple (positive kernel), strictly decreasing in n
-and strictly increasing in Omega, so the mode-m bifurcation point
-Omega_m is the unique root of lambda_m(Omega) = 1.  On B_m that root is
-an eigenvalue: B h = (nu0 - Omega) h says lambda = 1 with eigenfunction
-h, so Omega_m is the leftmost eigenvalue of diag(nu0) - B_m, taken from
-one dense eigensolve together with its eigenfunction.  On an equatorially
-mirrored context (``KernelContext.mirrored``) B_m is centrosymmetric and
-the leftmost eigenfunction is even, so the solve runs on the even block
-of size N/2.
+eigenvalue of K_n^Omega = diag(1/nu) B_n, taken from one dense symmetric
+eigensolve of its measure-weighted symmetrization
+(``KernelMatrix.sym_entries``).  It is strictly positive, simple
+(positive kernel), strictly decreasing in n and strictly increasing in
+Omega, so the mode-m bifurcation point Omega_m is the unique root of
+lambda_m(Omega) = 1.  On B_m that root is an eigenvalue: B h =
+(nu0 - Omega) h says lambda = 1 with eigenfunction h, so Omega_m is the
+leftmost eigenvalue of diag(nu0) - B_m, taken from one dense eigensolve
+together with its eigenfunction.
+
+On an equatorially mirrored context (``KernelContext.mirrored``) B_n,
+and to round-off both solves' matrices, are centrosymmetric and map even
+samples [x, x[::-1]] to even ones; both solves want the positive, hence
+even, eigenvector, so both run on the even block of size N/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .kernel import KernelContext, KernelMatrix, _hn_values, assemble_kernel_matrix, row_apply
 from .quadrature import interp_matrix
 
@@ -40,8 +42,6 @@ __all__ = [
     "refine_eigenvalue",
 ]
 
-POWER_TOL = 1e-10
-POWER_MAXIT = 10_000
 KERNEL_DIM_MARGIN = 1e-4
 
 
@@ -49,7 +49,11 @@ KERNEL_DIM_MARGIN = 1e-4
 class SpectralResult:
     """Dominant eigenpair of one K_n^Omega matrix.  ``eigvec`` holds the
     eigenfunction samples h(phi_i), sign-fixed positive and unit-normed
-    in the discrete mu_Omega inner product."""
+    in the discrete mu_Omega inner product.  ``residual`` is
+    |S v - lam v| for the symmetrized matrix S and its unit eigenvector
+    v.  ``iterations`` is always 0: the pair comes from one dense solve,
+    and the field stays because the ``iterations`` column of
+    ``dispersion.csv`` and ``perfbench/spans.py`` read it."""
 
     n: int
     omega: float
@@ -86,37 +90,29 @@ class BoundaryReport:
     interior_max: float
 
 
+def _even_block(A: np.ndarray) -> np.ndarray:
+    """The action A[:h, :h] + A[:h, ::-1][:, :h], h = N/2, of a
+    centrosymmetric A on even samples [x, x[::-1]]."""
+    half = A.shape[0] // 2
+    return A[:half, :half] + A[:half, ::-1][:, :half]
+
+
 def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
-    """Power iteration on the symmetrized matrix from the all-ones start.
+    """Top eigenpair of the symmetrized matrix by one ``np.linalg.eigh``.
 
     The operator's kernel is positive, so its largest eigenvalue is
-    simple and, on the discretization, well above the modulus of every
-    negative one; the iteration therefore converges to it.  The
-    eigenvector is mapped back through D^{-1/2} and normalized positive.
+    simple with a positive eigenvector.  On a mirrored context that
+    vector is even, so the solve runs on the even block and the vector
+    is [x, x[::-1]] / sqrt(2).  The eigenvector is mapped back through
+    D^{-1/2} and mu-normalized positive.
     """
     S = K.sym_entries
-    size = S.shape[0]
-    v = np.full(size, 1.0 / np.sqrt(size))
-    w = S @ v
-    for it in range(1, POWER_MAXIT + 1):
-        lam = float(v @ w)
-        norm = math.sqrt(w.dot(w))    # numpy's 2-norm of a real vector, without its dispatch
-        if norm == 0.0:
-            raise SolverError("largest_eigenvalue: iterate collapsed to zero")
-        v = w / norm
-        w = S @ v  # the residual's product is the next step's
-        r = w - lam * v
-        resid = math.sqrt(r.dot(r))
-        if resid <= POWER_TOL * max(1.0, abs(lam)):
-            break
-    else:
-        raise AccuracyError(
-            f"largest_eigenvalue: power iteration did not converge in {POWER_MAXIT} steps"
-        )
-    h = v / np.sqrt(K.mu_w)
-    if float(np.sum(h * K.mu_w)) < 0.0:
-        h = -h
-    return SpectralResult(K.n, K.omega, lam, h, it, resid)
+    vals, vecs = np.linalg.eigh(_even_block(S) if K.mirrored else S)
+    x = vecs[:, -1]
+    v = np.concatenate([x, x[::-1]]) / np.sqrt(2.0) if K.mirrored else x
+    lam = float(vals[-1])
+    resid = float(np.linalg.norm(S @ v - lam * v))
+    return SpectralResult(K.n, K.omega, lam, _mu_normalized(v / np.sqrt(K.mu_w), K.mu_w), 0, resid)
 
 
 def eigen_bounds(ctx: KernelContext, K: KernelMatrix, rho: np.ndarray) -> tuple[float, float]:
@@ -163,14 +159,15 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid) -> DispersionCurve:
     results = [largest_eigenvalue(assemble_kernel_matrix(ctx, n, om)) for n in n_list for om in omega_grid]
     rows = [(r.n, r.omega, r.lam, r.iterations, r.residual) for r in results]
     lam = {(r.n, r.omega): r.lam for r in results}
+    ns, oms = sorted(set(n_list)), sorted(set(omega_grid))
     anomalies = []
     for om in omega_grid:
-        for a, b in zip(n_list[:-1], n_list[1:]):
+        for a, b in zip(ns[:-1], ns[1:]):
             if not lam[(b, om)] < lam[(a, om)]:
                 anomalies.append(("n", a, b, om))
     for n in n_list:
-        for oa, ob in zip(omega_grid[:-1], omega_grid[1:]):
-            if ob > oa and not lam[(n, ob)] > lam[(n, oa)]:
+        for oa, ob in zip(oms[:-1], oms[1:]):
+            if not lam[(n, ob)] > lam[(n, oa)]:
                 anomalies.append(("omega", n, oa, ob))
     return DispersionCurve(rows, anomalies)
 
@@ -205,21 +202,19 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     the Rayleigh quotient of diag(1/nu) B_m there.  An Omega_m at or
     beyond kappa - guard means the guard hides the root.
 
-    On a mirrored context B_m[N-1-i, N-1-j] = B_m[i, j] maps even samples
-    [v, v[::-1]] to even ones, and the leftmost eigenfunction is even (it
-    is the positive one), so the solve runs on the even block
-    diag(nu0[:h]) - (B_m[:h, :h] + B_m[:h, ::-1][:, :h]), h = N/2, and the
-    eigenfunction is [v, v[::-1]], exactly even.  Besides halving the
-    solve, this keeps Omega_m accurate: on the sphere (N = 96, de_level 7,
-    m = 2..6) the full eigensolve of the mirrored B_m is off the oracle
-    1/3 - 1/(2m+1) by up to 2.7e-15 (m = 6), the even block by 1.0e-15.
+    On a mirrored context the leftmost eigenfunction is even (it is the
+    positive one), so the solve runs on the even block
+    diag(nu0[:h]) - _even_block(B_m), h = N/2, and the eigenfunction is
+    [v, v[::-1]], exactly even.  Besides halving the solve, this keeps
+    Omega_m accurate: on the sphere (N = 96, de_level 7, m = 2..6) the
+    full eigensolve of the mirrored B_m is off the oracle 1/3 - 1/(2m+1)
+    by up to 2.7e-15 (m = 6), the even block by 1.0e-15.
     """
     if m < 2:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
     B = ctx.mode_b_matrices([1, m])[1]
     if ctx.mirrored:
-        half = ctx.n_nodes // 2
-        vals, vecs = np.linalg.eig(np.diag(ctx.nu0[:half]) - (B[:half, :half] + B[:half, ::-1][:, :half]))
+        vals, vecs = np.linalg.eig(np.diag(ctx.nu0[: ctx.n_nodes // 2]) - _even_block(B))
     else:
         vals, vecs = np.linalg.eig(np.diag(ctx.nu0) - B)
     j = int(np.argmin(vals.real))

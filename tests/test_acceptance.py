@@ -184,7 +184,7 @@ def test_criterion_09_power_vs_jacobi(sphere):
         worst_vec = max(worst_vec, float(np.max(np.abs(h - res.eigvec))))
     assert worst_val <= 1e-9
     assert worst_vec <= 1e-7
-    _report(9, f"power-iteration vs Jacobi over 12 pairs: value {worst_val:.2e}, vector {worst_vec:.2e}")
+    _report(9, f"dense eigensolve vs Jacobi over 12 pairs: value {worst_val:.2e}, vector {worst_vec:.2e}")
 
 
 def test_criterion_10_stationarity_and_symmetry(col_sphere_m2):

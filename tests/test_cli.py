@@ -88,6 +88,14 @@ class TestDispersion:
         anomalies = (out / "dispersion_anomalies.csv").read_text().splitlines()
         assert len(anomalies) == 1  # header only
 
+    def test_unsorted_modes_and_grid_no_anomaly(self, tmp_path):
+        code, out = run(
+            tmp_path, "dispersion", "--profile", "sphere", *FAST,
+            "--modes", "3,2", "--omega-grid=0.2,-0.5",
+        )
+        assert code == 0
+        assert len((out / "dispersion_anomalies.csv").read_text().splitlines()) == 1  # header only
+
     def test_empty_grid_header_only(self, tmp_path):
         code, out = run(tmp_path, "dispersion", "--profile", "sphere", *FAST, "--modes", "2", "--omega-grid", "")
         assert code == 0

@@ -6,11 +6,22 @@ import pytest
 import qg3d as q
 from oracles import jacobi_eigensolve
 from qg3d.errors import DomainError, SolverError
+from qg3d.spectral import SpectralResult
 
 
 @pytest.fixture(scope="module")
 def ctx_spheroid_half():
     return q.KernelContext(q.make_profile("spheroid", a=0.5), 48, 8, 3)
+
+
+def _jacobi_top(K):
+    """The top eigenvalue of ``K.sym_entries`` by the Jacobi oracle, and
+    its vector mapped back through D^{-1/2}, mu-normalized and positive."""
+    vals, vecs = jacobi_eigensolve(K.sym_entries)
+    h = vecs[:, 0] / np.sqrt(K.mu_w)
+    if np.sum(h * K.mu_w) < 0:
+        h = -h
+    return vals[0], h / np.sqrt(np.sum(h ** 2 * K.mu_w))
 
 
 class TestLargestEigenvalue:
@@ -35,6 +46,32 @@ class TestLargestEigenvalue:
         for n in (1, 3):
             res = q.largest_eigenvalue(q.assemble_kernel_matrix(ctx_sphere, n, 0.0))
             assert np.min(res.eigvec) >= -1e-12
+
+    @pytest.mark.parametrize("name", ["ctx_sphere_small", "ctx_spheroid_half"])
+    def test_even_block_matches_full_eigh(self, request, name):
+        # a mirrored context solves only the N/2 even block; its lambda is
+        # the top eigenvalue of the whole symmetrized matrix up to the
+        # round-off of the two solves (at most 9 ulp measured), and its
+        # vector is even
+        ctx = request.getfixturevalue(name)
+        assert ctx.mirrored
+        for n in (1, 2, 4):
+            for om in (-1.0, 0.0, 0.15):
+                K = q.assemble_kernel_matrix(ctx, n, om)
+                res = q.largest_eigenvalue(K)
+                top = np.linalg.eigh(K.sym_entries)[0][-1]
+                assert abs(res.lam - top) <= 4e-15 * top
+                assert np.max(np.abs(res.eigvec - res.eigvec[::-1])) <= 1e-12 * np.max(res.eigvec)
+
+    def test_unmirrored_matches_jacobi(self, asym_ctx):
+        # the full solve of an unmirrored profile, held to criterion 9's bounds
+        assert not asym_ctx.mirrored
+        for n, omega in ((1, 0.0), (2, -0.5), (3, 0.1)):
+            K = q.assemble_kernel_matrix(asym_ctx, n, omega)
+            res = q.largest_eigenvalue(K)
+            lam, h = _jacobi_top(K)
+            assert abs(res.lam - lam) <= 1e-9
+            assert np.max(np.abs(h - res.eigvec)) <= 1e-7
 
     def test_mu_norm(self, ctx_sphere):
         K = q.assemble_kernel_matrix(ctx_sphere, 2, 0.0)
@@ -98,6 +135,21 @@ class TestDispersionScan:
         assert len(curve.rows) == 48
         for n, om, lam, _, _ in curve.rows:
             assert lam * (2 * n + 1) * (1.0 / 3.0 - om) == pytest.approx(1.0, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("modes", [[3, 2], [2, 2]])
+    def test_unsorted_or_repeated_modes(self, ctx_sphere_small, modes):
+        # monotonicity in n is checked between the sorted distinct modes
+        assert q.dispersion_scan(ctx_sphere_small, modes, [0.0]).anomalies == []
+
+    def test_unsorted_grid_checks_sorted_neighbours(self, ctx_sphere_small, monkeypatch):
+        # a lambda flat in Omega is an anomaly between every two
+        # neighbouring Omegas, in whatever order the grid lists them
+        def flat(K):
+            return SpectralResult(K.n, K.omega, 1.0 / K.n, np.ones(len(K.nu)), 0, 0.0)
+
+        monkeypatch.setattr("qg3d.spectral.largest_eigenvalue", flat)
+        curve = q.dispersion_scan(ctx_sphere_small, [2, 3], [0.0, -0.5, 0.2])
+        assert curve.anomalies == [(kind, n, a, b) for n in (2, 3) for kind, a, b in (("omega", -0.5, 0.0), ("omega", 0.0, 0.2))]
 
     def test_single_point(self, ctx_sphere):
         curve = q.dispersion_scan(ctx_sphere, [2], [0.0])
@@ -251,11 +303,6 @@ class TestPowerVsJacobi:
         for n, omega in ((1, 0.0), (2, -0.5), (3, 0.1)):
             K = q.assemble_kernel_matrix(ctx, n, omega)
             res = q.largest_eigenvalue(K)
-            vals, vecs = jacobi_eigensolve(K.sym_entries)
-            assert res.lam == pytest.approx(vals[0], abs=1e-9)
-            v = vecs[:, 0]
-            h = v / np.sqrt(K.mu_w)
-            if np.sum(h * K.mu_w) < 0:
-                h = -h
-            h /= np.sqrt(np.sum(h ** 2 * K.mu_w))
+            lam, h = _jacobi_top(K)
+            assert res.lam == pytest.approx(lam, abs=1e-9)
             assert np.max(np.abs(h - res.eigvec)) < 1e-7
