@@ -100,17 +100,19 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _load_profile(spec: str):
-    if spec == "sphere":
-        return make_profile("sphere")
-    if spec.startswith("spheroid:"):
-        try:
-            a = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"profile spec {spec!r}: bad semi-axis") from None
-        return make_profile("spheroid", a=a)
-    if spec.startswith("file:"):
-        return profile_from_csv(spec.split(":", 1)[1])
-    raise DomainError(f"unknown profile spec {spec!r} (expected sphere | spheroid:a | file:path)")
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec == "sphere":
+            return make_profile("sphere")
+        if kind == "spheroid":
+            return make_profile("spheroid", a=float(arg))
+        if kind == "series":
+            return make_profile("series", g=[float(c) for c in arg.split(",")])
+    except ValueError:
+        raise DomainError(f"profile spec {spec!r}: bad number {arg!r}") from None
+    if kind == "file":
+        return profile_from_csv(arg)
+    raise DomainError(f"unknown profile spec {spec!r} (expected sphere | spheroid:a | series:c0,c1,... | file:path)")
 
 
 def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .profiles import Profile
+from .profiles import Profile, mirror_defect
 from .quadrature import barycentric_terms, barycentric_weights, node_hits, split_de
 from .specfun import f_n_many
 
@@ -110,9 +110,9 @@ _LAGRANGE_CHUNK = 512
 # the mirrored walk (N = 96, de_level 7).
 _POLE_CUT = 1e-5
 # Equatorial-mirror check of a profile: interior probe points and the
-# tolerance on |r0(pi - phi) - r0(phi)| relative to max r0.  Round-off
-# passes it (sphere, spheroids, tabulated profiles sampled from a
-# symmetric function on a uniform grid); r0 = sin(phi) (1 + 0.1 cos(phi))
+# tolerance on ``profiles.mirror_defect`` relative to max r0.  Round-off
+# passes it (sphere, spheroids, series with g even, tabulated profiles
+# sampled from a symmetric function on a uniform grid); r0 = sin(phi) (1 + 0.1 cos(phi))
 # misses it by 13 orders of magnitude (defect 0.0995).
 _MIRROR_PROBE = 256
 _MIRROR_TOL = 1e-14
@@ -123,13 +123,16 @@ def _cn(n: int) -> float:
     return math.comb(2 * n, n) / 2 ** (2 * n + 1)
 
 
-def _chordal(p: Profile, phi, vphi):
+def _chordal(p: Profile, phi, vphi, repeats=None):
     """(r0(phi), r0(vphi), R, 1 - x) on broadcastable arguments, with
     1 - x from the chordal identity and R floored at 1e-300 in its
-    denominator."""
-    rp = p.r0(phi)
+    denominator.  With ``repeats``, r0 and cos are evaluated once per
+    entry of phi and then repeated, as phi = np.repeat(phi, repeats)."""
+    rp, cp = p.r0(phi), np.cos(phi)
+    if repeats is not None:
+        rp, cp = np.repeat(rp, repeats), np.repeat(cp, repeats)
     rq = p.r0(vphi)
-    dc = np.cos(phi) - np.cos(vphi)
+    dc = cp - np.cos(vphi)
     R = (rp + rq) ** 2 + dc ** 2
     return rp, rq, R, ((rp - rq) ** 2 + dc ** 2) / np.maximum(R, 1e-300)
 
@@ -204,9 +207,7 @@ class KernelContext:
         self.mv = self.sinv * self.r0v ** 2
         self.bary = barycentric_weights(self.nodes)
         probe = np.linspace(0.0, np.pi, _MIRROR_PROBE + 2)[1:-1]
-        r = self.profile.r0(probe)
-        defect = np.max(np.abs(self.profile.r0(np.pi - probe) - r))
-        self.mirrored = bool(defect <= _MIRROR_TOL * np.max(np.abs(r)))
+        self.mirrored = bool(mirror_defect(self.profile, probe) <= _MIRROR_TOL * np.max(np.abs(self.profile.r0(probe))))
         self._cache: dict = {}
 
     def refined(self) -> "KernelContext":
@@ -237,7 +238,7 @@ class KernelContext:
             sizes = [len(t) for t, _ in rules]
             t = np.concatenate([t for t, _ in rules])
             w = np.concatenate([w for _, w in rules])
-            rp, rq, R, one_minus = _chordal(self.profile, np.repeat(block, sizes), t)
+            rp, rq, R, one_minus = _chordal(self.profile, block, t, sizes)
             sin_t = np.sin(t)
             whs = f_n_many(ns, 1.0 - one_minus, one_minus)
             for n, wh in zip(ns, whs):

@@ -2,10 +2,11 @@
 
 A profile describes the generating curve of a surface of revolution:
 the boundary point at colatitude parameter phi in [0, pi] sits at
-(r0(phi) e^{i theta}, cos phi).  Built-in families:
+(r0(phi) e^{i theta}, cos phi).  Two kinds:
 
-* ``sphere``       r0 = sin(phi), the unit sphere;
-* ``spheroid(a)``  r0 = a sin(phi), the ellipsoid x1^2+x2^2 = a^2 (1-x3^2);
+* ``series(g)``    r0 = sin(phi) g(cos phi), g given by its power-series
+                   coefficients; ``sphere`` is g = (1,) and ``spheroid(a)``,
+                   the ellipsoid x1^2+x2^2 = a^2 (1-x3^2), is g = (a,);
 * ``tabulated``    monotone cubic interpolant of (phi, r0) samples with
                    enforced endpoint zeros.
 
@@ -13,7 +14,7 @@ Validation reports the paper's hypotheses on the profile: endpoint
 zeros with interior positivity (H1), two-sided comparability with
 sin(phi) (H2), and equatorial symmetry (H3).  The solvers do not need
 H3: without the mirror the kernel walks every row and the branch solves
-every phi node (``KernelContext.mirrored``).
+every phi node (``KernelContext.mirrored``, which shares H3's :func:`mirror_defect`).
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ __all__ = [
     "ValidationReport",
     "EllipsoidConstants",
     "make_profile",
+    "mirror_defect",
     "profile_from_csv",
     "validate_profile",
     "arc_chord_constants",
     "ellipsoid_alphas",
 ]
-
-SPHERE = "sphere"
-SPHEROID = "spheroid"
-TABULATED = "tabulated"
 
 
 def _pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -72,26 +70,22 @@ def _pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Profile:
-    """Immutable revolution-shape profile with analytic or interpolated
-    radius and derivatives."""
+    """Immutable revolution-shape profile: r0 = sin(phi) g(cos phi) when
+    the power-series coefficients ``g`` are given, else the monotone cubic
+    interpolant of the samples (``knots``, ``values``, ``slopes``)."""
 
-    kind: str
-    a: float = 1.0
+    g: tuple[float, ...] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
     slopes: np.ndarray | None = field(default=None, repr=False)
 
-    def _cell(self, phi: np.ndarray):
+    def r0(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        if self.g is not None:
+            return np.sin(phi) * np.polynomial.polynomial.polyval(np.cos(phi), self.g)
         idx = np.clip(np.searchsorted(self.knots, phi) - 1, 0, len(self.knots) - 2)
         h = self.knots[idx + 1] - self.knots[idx]
         s = (phi - self.knots[idx]) / h
-        return idx, h, s
-
-    def r0(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        if self.kind in (SPHERE, SPHEROID):
-            return self.a * np.sin(phi)
-        idx, h, s = self._cell(phi)
         y0, y1 = self.values[idx], self.values[idx + 1]
         d0, d1 = self.slopes[idx], self.slopes[idx + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -100,34 +94,28 @@ class Profile:
         h11 = s * s * (s - 1)
         return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
 
-    def r0_d1(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        if self.kind in (SPHERE, SPHEROID):
-            return self.a * np.cos(phi)
-        idx, h, s = self._cell(phi)
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        d0, d1 = self.slopes[idx], self.slopes[idx + 1]
-        dh00 = 6 * s * (s - 1)
-        dh10 = (1 - s) * (1 - 3 * s)
-        dh01 = -dh00
-        dh11 = s * (3 * s - 2)
-        return (dh00 * y0 + h * dh10 * d0 + dh01 * y1 + h * dh11 * d1) / h
 
-
-def make_profile(kind: str, a: float = 1.0, phi=None, r0=None) -> Profile:
+def make_profile(kind: str, a: float = 1.0, phi=None, r0=None, g=None) -> Profile:
     """Construct a profile.
 
-    ``kind`` is one of "sphere", "spheroid" (horizontal semi-axis ``a``,
-    finite and > 0), or "tabulated" (finite sample arrays ``phi``, ``r0``
-    covering [0, pi] with zero endpoint values).
+    ``kind`` is one of "series" (r0 = sin(phi) g(cos phi) for a non-empty
+    sequence ``g`` of finite power-series coefficients), its cases
+    "sphere" (g = (1,)) and "spheroid" (g = (a,), horizontal semi-axis
+    ``a`` finite and > 0), or "tabulated" (finite sample arrays ``phi``,
+    ``r0`` covering [0, pi] with zero endpoint values).
     """
-    if kind == SPHERE:
-        return Profile(SPHERE, 1.0)
-    if kind == SPHEROID:
+    if kind == "sphere":
+        return Profile(g=(1.0,))
+    if kind == "spheroid":
         if not (np.isfinite(a) and a > 0):
             raise DomainError(f"make_profile: spheroid semi-axis must be finite and > 0, got {a}")
-        return Profile(SPHEROID, float(a))
-    if kind == TABULATED:
+        return Profile(g=(float(a),))
+    if kind == "series":
+        g = np.asarray(g, dtype=float)
+        if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)):
+            raise DomainError(f"make_profile: series needs a non-empty sequence of finite coefficients g, got {g}")
+        return Profile(g=tuple(g.tolist()))
+    if kind == "tabulated":
         phi = np.asarray(phi, dtype=float)
         r0 = np.asarray(r0, dtype=float)
         if phi.ndim != 1 or phi.shape != r0.shape or len(phi) < 4:
@@ -143,7 +131,7 @@ def make_profile(kind: str, a: float = 1.0, phi=None, r0=None) -> Profile:
         r0 = r0.copy()
         r0[0] = 0.0
         r0[-1] = 0.0
-        return Profile(TABULATED, 1.0, knots=phi, values=r0, slopes=_pchip_slopes(phi, r0))
+        return Profile(knots=phi, values=r0, slopes=_pchip_slopes(phi, r0))
     raise DomainError(f"make_profile: unknown kind {kind!r}")
 
 
@@ -169,7 +157,7 @@ def profile_from_csv(path: str | Path) -> Profile:
                 r0.append(float(row[1]))
             except ValueError as exc:
                 raise DomainError(f"profile CSV {path}: line {ln}: {exc}") from None
-    return make_profile(TABULATED, phi=np.array(phi), r0=np.array(r0))
+    return make_profile("tabulated", phi=np.array(phi), r0=np.array(r0))
 
 
 @dataclass(frozen=True)
@@ -190,6 +178,11 @@ class ValidationReport:
         return self.h1_ok and self.h2_ok and self.h3_ok
 
 
+def mirror_defect(p: Profile, phi) -> float:
+    """Equatorial-mirror defect max |r0(pi - phi) - r0(phi)| over ``phi``."""
+    return float(np.max(np.abs(p.r0(np.pi - phi) - p.r0(phi))))
+
+
 def validate_profile(p: Profile, grid_size: int = 256) -> ValidationReport:
     """Check endpoint zeros / interior positivity (H1), sin-comparability
     (H2) and equatorial symmetry (H3) on an interior grid."""
@@ -203,8 +196,7 @@ def validate_profile(p: Profile, grid_size: int = 256) -> ValidationReport:
     ratio = r / np.sin(phi)
     h2_lo = float(np.min(ratio))
     h2_hi = float(np.max(ratio))
-    half = phi[phi < np.pi / 2]
-    sym_defect = float(np.max(np.abs(p.r0(np.pi / 2 - (np.pi / 2 - half)) - p.r0(np.pi / 2 + (np.pi / 2 - half)))))
+    sym_defect = mirror_defect(p, phi[phi < np.pi / 2])
     scale = max(h2_hi, 1e-300)
     h1_ok = abs(end0) <= 1e-9 and abs(end_pi) <= 1e-9 and interior_min > 0.0
     h2_ok = h2_lo > 0.0 and h2_hi / max(h2_lo, 1e-300) < 1e6

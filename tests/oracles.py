@@ -4,8 +4,8 @@ These deliberately avoid the code paths they check: adaptive quadrature
 comes from scipy, the hypergeometric reference from scipy.special, the
 full symmetric eigensolver is a plain cyclic Jacobi iteration, and the
 rotating-ellipsoid branch uses scipy's quadrature and root finder.  The
-analytic profiles are non-ellipsoid test beds whose errors are the
-solver's own, with no interpolant in between.
+analytic (series) profiles are non-ellipsoid test beds whose errors are
+the solver's own, with no interpolant in between.
 """
 
 import warnings
@@ -13,35 +13,17 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from qg3d.profiles import Profile
+import qg3d as q
 
 
-class SeriesProfile(Profile):
-    """r0 = sin(phi) g(cos phi), g a polynomial in cos(phi) given by its
-    power-series coefficients, with exact r0 and r0_d1."""
-
-    def __init__(self, g):
-        super().__init__("series")
-        self.g = np.polynomial.Polynomial(g)
-
-    def r0(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return np.sin(phi) * self.g(np.cos(phi))
-
-    def r0_d1(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        x = np.cos(phi)
-        return x * self.g(x) - np.sin(phi) ** 2 * self.g.deriv()(x)
-
-
-def bump_profile() -> SeriesProfile:
+def bump_profile() -> q.Profile:
     """r0 = sin(phi) (1 + 0.15 sin^2 phi): symmetric about the equator."""
-    return SeriesProfile([1.15, 0.0, -0.15])
+    return q.make_profile("series", g=[1.15, 0.0, -0.15])
 
 
-def asym_profile() -> SeriesProfile:
+def asym_profile() -> q.Profile:
     """r0 = sin(phi) (1 + 0.1 cos phi): not symmetric about the equator."""
-    return SeriesProfile([1.0, 0.1])
+    return q.make_profile("series", g=[1.0, 0.1])
 
 
 def euler_integral_2f1(a: float, b: float, c: float, x: float) -> float:

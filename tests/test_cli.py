@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qg3d
 from qg3d.cli import main
 from qg3d.nonlinear import NEWTON_TOL, Collocation
 
@@ -26,8 +27,6 @@ class TestValidate:
         assert payload["kappa"] == pytest.approx(1.0 / 3.0, abs=1e-5)
 
     def test_spheroid_kappa(self, tmp_path):
-        import qg3d
-
         code, out = run(tmp_path, "validate", "--profile", "spheroid:2", *FAST)
         assert code == 0
         payload = json.loads((out / "validate.json").read_text())
@@ -40,7 +39,8 @@ class TestValidate:
         assert code == 1
 
     @pytest.mark.parametrize("command", ["bifpoints", "dispersion"])
-    @pytest.mark.parametrize("spec", ["spheroid:nan", "spheroid:inf", "file:nan", "file:inf"])
+    @pytest.mark.parametrize("spec", ["spheroid:nan", "spheroid:inf", "file:nan", "file:inf",
+                                      "series:nan", "series:1,inf", "series:", "series:x"])
     def test_non_finite_profile_exit_1(self, tmp_path, capsys, command, spec):
         # rejected at load, before any solve could end in a LinAlgError
         kind, _, word = spec.partition(":")
@@ -128,6 +128,17 @@ class TestBifpoints:
         assert 0.0 < oms[0] < oms[1] < 1.0 / 3.0
         assert (out / "eigenfun_m2.csv").exists()
         assert (out / "eigenfun_m3.csv").exists()
+
+    @pytest.mark.parametrize("g,mirrored", [("1.15,0,-0.15", True), ("1,0.1", False)], ids=["bump", "asym"])
+    def test_series_profile(self, tmp_path, g, mirrored):
+        # Omega_m is the library's, bitwise, and (N, de_level) = (48, 8) is 3.3e-16 from (96, 9)
+        code, out = run(tmp_path, "bifpoints", "--profile", f"series:{g}", "--phi-nodes", "48", "--de-level", "8", "--modes", "2,3")
+        ctx = qg3d.KernelContext(qg3d.make_profile("series", g=[float(c) for c in g.split(",")]), 48, 8)
+        fine = ctx.refined()
+        assert code == 0 and ctx.mirrored is mirrored
+        oms = [float(line.split(",")[1]) for line in (out / "bifpoints.csv").read_text().splitlines()[1:]]
+        assert oms == [qg3d.find_bifurcation_point(ctx, m).omega_m for m in (2, 3)]
+        assert all(abs(om - qg3d.find_bifurcation_point(fine, m).omega_m) <= 2e-15 for m, om in zip((2, 3), oms))
 
     def test_m1_rejected_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "bifpoints", "--profile", "sphere", *FAST, "--modes", "1")

@@ -18,9 +18,7 @@ from qg3d.specfun import f_n_many
 @pytest.fixture(scope="module")
 def bumped_ctx():
     """A symmetric non-ellipsoidal profile (nu genuinely varies)."""
-    phi = np.linspace(0.0, np.pi, 401)
-    prof = q.make_profile("tabulated", phi=phi, r0=np.sin(phi) * (1.0 + 0.1 * np.sin(phi) ** 2))
-    return q.KernelContext(prof, 48, 8, 3)
+    return q.KernelContext(_profile("bumped"), 48, 8, 3)
 
 
 class TestBigR:
@@ -394,7 +392,7 @@ class TestOneFnCallPerBlock:
         for first in range(0, ctx.n_nodes, _ROW_BLOCK):
             block = ctx.nodes[first:first + _ROW_BLOCK]
             rules = [ctx.row_rule(pt)[0] for pt in block]
-            u = _chordal(ctx.profile, np.repeat(block, [len(t) for t in rules]), np.concatenate(rules))[3]
+            u = _chordal(ctx.profile, block, np.concatenate(rules), [len(t) for t in rules])[3]
             for n, row in zip(modes, f_n_many(modes, 1.0 - u, u)):
                 assert np.array_equal(row, f_n_many(n, 1.0 - u, u))
 

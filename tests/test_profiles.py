@@ -7,20 +7,32 @@ from scipy import integrate
 import qg3d as q
 from qg3d.errors import DomainError, GeometryError
 
+PHI = np.linspace(0.0, np.pi, 1001)
+
 
 class TestMakeProfile:
     def test_sphere_radius(self, sphere):
         assert sphere.r0(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(sphere.r0(PHI), np.sin(PHI))  # the series g = (1,), bitwise
 
     def test_spheroid_radius(self, spheroid2):
         assert spheroid2.r0(np.pi / 6) == pytest.approx(1.0, rel=1e-14)
+        assert np.array_equal(spheroid2.r0(PHI), 2.0 * np.sin(PHI))  # g = (2,)
 
     def test_tabulated_matches_sphere(self, sphere):
         phi = np.linspace(0.0, np.pi, 201)
         tab = q.make_profile("tabulated", phi=phi, r0=np.sin(phi))
         x = np.linspace(0.05, np.pi - 0.05, 77)
         assert np.max(np.abs(tab.r0(x) - np.sin(x))) < 5e-6
-        assert np.max(np.abs(tab.r0_d1(x) - np.cos(x))) < 5e-3
+
+    @pytest.mark.parametrize("g", [[0.5], [1.15, 0.0, -0.15], [1.0, 0.1]])
+    def test_series_is_polynomial_in_cos(self, g):
+        assert np.array_equal(q.make_profile("series", g=g).r0(PHI), np.sin(PHI) * np.polynomial.Polynomial(g)(np.cos(PHI)))
+
+    @pytest.mark.parametrize("g", [[], [float("nan")], [1.0, float("inf")], [[1.0, 0.1]], None])
+    def test_series_coefficients_must_be_finite(self, g):
+        with pytest.raises(DomainError, match="finite coefficients"):
+            q.make_profile("series", g=g)
 
     def test_tabulated_bad_endpoints(self):
         phi = np.linspace(0.0, np.pi, 50)
