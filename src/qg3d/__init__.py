@@ -59,6 +59,6 @@ from .spectral import (
     refine_eigenvalue,
     transversality_check,
 )
-from .specfun import digamma, f_n, f_n_prime, gamma_fn, gauss_2f1, pochhammer, ring_integral
+from .specfun import digamma, f_n, gamma_fn, gauss_2f1, pochhammer, ring_integral
 
 __version__ = "0.1.0"

@@ -115,13 +115,23 @@ def _load_profile(spec: str):
     raise DomainError(f"unknown profile spec {spec!r} (expected sphere | spheroid:a | series:c0,c1,... | file:path)")
 
 
+def _context(cfg: RunConfig, profile) -> KernelContext:
+    return KernelContext(profile, cfg.phi_nodes, cfg.de_level, cfg.direct_level, cfg.guard)
+
+
 def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
     _write_json(outdir / f"{command}_config.json", asdict(cfg))
 
 
-def cmd_validate(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
-    report = validate_profile(ctx.profile, max(cfg.phi_nodes, 64))
-    c_lo, c_hi = arc_chord_constants(ctx.profile)
+def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
+    """Reports the profile's hypotheses also where the solvers refuse it;
+    ``kappa`` is null when no context or no kappa can be computed."""
+    report = validate_profile(profile, max(cfg.phi_nodes, 64))
+    c_lo, c_hi = arc_chord_constants(profile)
+    try:
+        kappa = _context(cfg, profile).kappa
+    except (GeometryError, AccuracyError):
+        kappa = None
     payload = {
         "profile": cfg.profile,
         "h1_ok": report.h1_ok,
@@ -134,7 +144,7 @@ def cmd_validate(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
         "sym_defect": report.sym_defect,
         "arc_chord_lo": c_lo,
         "arc_chord_hi": c_hi,
-        "kappa": ctx.kappa,
+        "kappa": kappa,
         "passed": report.passed,
     }
     _write_json(outdir / "validate.json", payload)
@@ -327,8 +337,9 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, outdir, args.command)
-        ctx = KernelContext(profile, cfg.phi_nodes, cfg.de_level, cfg.direct_level, cfg.guard)
-        return COMMANDS[args.command](cfg, ctx, outdir)
+        if args.command == "validate":
+            return cmd_validate(cfg, profile, outdir)
+        return COMMANDS[args.command](cfg, _context(cfg, profile), outdir)
     except OSError as exc:
         print(f"qg3d: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

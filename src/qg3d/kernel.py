@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, GeometryError
 from .profiles import Profile, mirror_defect
 from .quadrature import barycentric_terms, barycentric_weights, node_hits, split_de
 from .specfun import f_n_many
@@ -178,10 +178,11 @@ class KernelContext:
     ``n_nodes`` Gauss-Legendre nodes on (0, pi) (strictly interior, so the
     poles where r0 vanishes are never touched), a tanh-sinh level for the
     singular row integrals, and a level for the 2-d quadratures of the
-    double-integral operator representation.  ``refined()`` doubles the
-    grid and bumps both levels by one.  ``mirrored`` records whether the
-    profile is symmetric about the equator to round-off, which halves the
-    row walks (see the module notes).
+    double-integral operator representation.  A profile with r0 <= 0 at a
+    grid node is a GeometryError: that is the part of H1 the grid can see.
+    ``refined()`` doubles the grid and bumps both levels by one.
+    ``mirrored`` records whether the profile is symmetric about the equator
+    to round-off, which halves the row walks (see the module notes).
     """
 
     profile: Profile
@@ -203,6 +204,13 @@ class KernelContext:
         self.nodes = 0.5 * (nodes + (np.pi - nodes[::-1]))
         self.weights = 0.5 * (weights + weights[::-1])
         self.r0v = self.profile.r0(self.nodes)
+        bad = np.flatnonzero(~(self.r0v > 0.0))
+        if bad.size:
+            i = bad[0]
+            raise GeometryError(
+                f"KernelContext: r0 = {self.r0v[i]:.6g} is not positive at the grid node phi = {self.nodes[i]:.6g}; "
+                "the kernel needs r0 > 0 inside (0, pi) (H1)"
+            )
         self.sinv = np.sin(self.nodes)
         self.mv = self.sinv * self.r0v ** 2
         self.bary = barycentric_weights(self.nodes)
@@ -321,8 +329,8 @@ class KernelContext:
             mids = 0.5 * (edges[i:i + 2] + edges[i + 1:i + 3])
             _, bounds, _, (wh,) = next(self._row_blocks([1], mids))
             k = float(min(self.nu0[i], np.min(np.add.reduceat(wh, bounds[:-1]))))
-            if k <= 0.0:
-                raise AccuracyError(f"kappa: computed non-positive infimum {k}")
+            if not k > 0.0:    # NaN too: B_1 overflows on a profile of radius near 0
+                raise AccuracyError(f"kappa: computed infimum {k} is not positive")
             self._cache["kappa"] = k
         return self._cache["kappa"]
 

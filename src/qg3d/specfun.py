@@ -27,8 +27,7 @@ several modes: the points are sorted by u once, Kummer's set-up is
 shared, and per mode a single Horner loop runs over all buckets, each
 bucket joining it when it reaches that bucket's term count.  All
 coefficients are exact rationals rounded once to double.  Against mpmath,
-F_n and F_n' are good to about 1e-15 relative for n <= 8 on the whole of
-[0, 1).
+F_n is good to about 2e-15 relative for n <= 8 on the whole of [0, 1).
 
 Everything here runs in double precision, also the logarithmic case of
 the general ``gauss_2f1``: its endpoint expansion is good to about 2e-15
@@ -42,6 +41,7 @@ plus recurrence) so the package has no runtime dependency beyond numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +56,6 @@ __all__ = [
     "gauss_2f1",
     "f_n",
     "f_n_many",
-    "f_n_prime",
     "ring_integral",
 ]
 
@@ -250,7 +249,7 @@ _ENDPOINT_U_EDGES = (1e-12, 1e-6, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03)
 # absolute sum of its terms over the modulus of their sum.
 _MAX_CANCEL = 10.0
 # Guard on the Kummer term count.  It grows like 1 / sqrt(u_switch): n = 8
-# needs 268 terms (318 for the derivative), n = 12 491 and n = 30 8609.
+# needs 268 terms, n = 12 491 and n = 30 8609.
 _MAX_KUMMER_TERMS = 20000
 
 
@@ -259,7 +258,6 @@ class _FnTable:
     """Per-n coefficients and a-priori term counts of the two branches."""
 
     kum: np.ndarray       # Kummer coefficients g_k of 2F1(a, 1/2; a + 1/2; w)
-    dkum: np.ndarray      # derivative coefficients (k + 1) g_{k+1}
     cc: np.ndarray        # endpoint coefficients e_k
     cd: np.ndarray        # e_k d_k
     pref: float           # Gamma(2a) / Gamma(a)^2
@@ -267,12 +265,8 @@ class _FnTable:
     x_edges: np.ndarray   # Kummer bucket upper edges in x
     w_edges: np.ndarray   # the same edges in w
     w_terms: tuple        # Kummer terms per bucket
-    dw_terms: tuple       # derivative terms per bucket
     u_edges: np.ndarray   # endpoint bucket upper edges in u
     u_terms: tuple        # endpoint terms per bucket
-
-
-_FN_CACHE: dict[int, _FnTable] = {}
 
 
 def _tail_within(term: float, rho: float, tol: float) -> bool:
@@ -318,6 +312,7 @@ def _kummer_p(n: int, hi: np.ndarray, rel: np.ndarray) -> np.ndarray:
     return 2.0 ** p * hi ** -p * (1.0 - p * rel)
 
 
+@functools.cache
 def _fn_tables(n: int) -> _FnTable:
     """Cached per-n tables: coefficients of both branches and, for every
     bucket, the number of terms that bounds the truncated tail.
@@ -333,10 +328,7 @@ def _fn_tables(n: int) -> _FnTable:
     Kummer's form: G has coefficients g_k = (a)_k (1/2)_k / ((a+1/2)_k k!),
     rounded once from exact rationals, whose ratio
     (a+k)(1/2+k) / ((a+1/2+k)(k+1)) is below 1, so all terms are positive
-    and the tail after K terms is at most g_K w^K / (1 - w).  Its
-    derivative G' = sum_k (k+1) g_{k+1} w^k has term ratios
-    w (a+k+1)(k+3/2) / ((a+k+3/2)(k+1)), above w but decreasing in k, and
-    its tail is held below _SERIES_EXIT times its first term g_1.
+    and the tail after K terms is at most g_K w^K / (1 - w).
 
     Tail bounds are taken at the bucket's upper edge, where every term is
     largest.  F_n >= 1 and G >= 1 make them relative: below _SERIES_EXIT
@@ -345,9 +337,6 @@ def _fn_tables(n: int) -> _FnTable:
     increases in u for u < 1/e; their tail is held below
     _SERIES_EXIT / pref).
     """
-    tab = _FN_CACHE.get(n)
-    if tab is not None:
-        return tab
     a = n + 0.5
     pref = 16 ** n * math.factorial(n) ** 2 / math.factorial(2 * n) / math.pi
     tol = _SERIES_EXIT / pref
@@ -396,26 +385,18 @@ def _fn_tables(n: int) -> _FnTable:
     x_edges = np.array(x_list + [1.0 - u_switch])
     w_edges = _kummer(x_edges, np.array([1.0 - e for e in x_list] + [u_switch]))[4]
     G_num, G_den = 1, 1
-    kum, w_terms, dw_terms = [1.0], [0] * len(w_edges), [0] * len(w_edges)
-    d_tol = _SERIES_EXIT * a / (2 * a + 1)           # g_1 = a / (2a + 1)
+    kum, w_terms = [1.0], [0] * len(w_edges)
     k = 0
-    while not (w_terms[-1] and dw_terms[-1]):
+    while not w_terms[-1]:
         if k == _MAX_KUMMER_TERMS:
             raise AccuracyError(f"f_n_many: Kummer tail of F_{n} unbounded within {_MAX_KUMMER_TERMS} terms")
         G_num, G_den = G_num * (2 * n + 1 + 2 * k) * (2 * k + 1), G_den * (2 * n + 2 + 2 * k) * (2 * k + 2)
         kum.append(G_num / G_den)
-        d_fac = (a + k + 1) * (k + 1.5) / ((a + k + 1.5) * (k + 1))
         for j, we in enumerate(w_edges.tolist()):    # floats: numpy scalars made the tables 1.3x slower
             if k > 0 and not w_terms[j] and _tail_within(kum[k] * we ** k, we, _SERIES_EXIT):
                 w_terms[j] = k
-            if k > 0 and not dw_terms[j] and _tail_within((k + 1) * kum[k + 1] * we ** k, we * d_fac, d_tol):
-                dw_terms[j] = k
         k += 1
-    dkum = np.array([(j + 1) * kum[j + 1] for j in range(k)])
-    kum = np.array(kum)
-    tab = _FnTable(kum, dkum, cc, cd, pref, u_switch, x_edges, w_edges, tuple(w_terms), tuple(dw_terms), u_edges, u_terms)
-    _FN_CACHE[n] = tab
-    return tab
+    return _FnTable(np.array(kum), cc, cd, pref, u_switch, x_edges, w_edges, tuple(w_terms), u_edges, u_terms)
 
 
 def _bucket(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -517,43 +498,6 @@ def f_n(n: int, x: float) -> float:
     if x < 0.0 or x >= 1.0:
         raise DomainError(f"f_n: argument x={x} outside [0, 1)")
     return float(f_n_many(n, np.array([x]))[0])
-
-
-def f_n_prime(n: int, x: float) -> float:
-    """Derivative F_n'(x) = ((n+1/2)^2/(2n+1)) 2F1(n+3/2, n+3/2; 2n+2; x).
-
-    From u_switch on it is the derivative of Kummer's form,
-
-        F_n' = P / (s (1+s)) [(2n+1)/2 G(w) + 2q / (1+s) G'(w)],
-
-    two positive terms, with G' summed to its own term count for w's
-    bucket.  Below u_switch the endpoint expansion of F_n is
-    differentiated termwise instead (the shifted parameter set has
-    c - a - b = -1, for which no clean connection formula is coded).
-    """
-    if n < 1:
-        raise DomainError(f"f_n_prime: n must be >= 1, got {n}")
-    x = float(x)
-    if x < 0.0 or x >= 1.0:
-        raise DomainError(f"f_n_prime: argument x={x} outside [0, 1)")
-    tab = _fn_tables(n)
-    u = np.array([1.0 - x])
-    if u[0] >= tab.u_switch:
-        s, hi, rel, q, w = _kummer(np.array([x]), u)
-        P = _kummer_p(n, hi, rel)
-        b = _bucket(w, tab.w_edges)
-        G = _horner(tab.kum, tab.w_terms, b, w)
-        Gp = _horner(tab.dkum, tab.dw_terms, b, w)
-        return float((P / (s * hi) * ((n + 0.5) * G + 2.0 * q / hi * Gp))[0])
-    # d/dx F_n(1-u) = pref * [B/u + ln(u) B' - A'],  A = sum e_k d_k u^k, B = sum e_k u^k,
-    # each summed to the term count of u's bucket (one fewer for the derivatives)
-    b = _bucket(u, tab.u_edges)
-    k = np.arange(1, len(tab.cc))
-    d_terms = tuple(t - 1 for t in tab.u_terms)
-    B = _horner(tab.cc, tab.u_terms, b, u)
-    Ap = _horner(k * tab.cd[1:], d_terms, b, u)
-    Bp = _horner(k * tab.cc[1:], d_terms, b, u)
-    return float((tab.pref * (B / u + np.log(u) * Bp - Ap))[0])
 
 
 def ring_integral(n: int, beta: float, A: float) -> float:

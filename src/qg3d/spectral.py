@@ -97,6 +97,14 @@ def _even_block(A: np.ndarray) -> np.ndarray:
     return A[:half, :half] + A[:half, ::-1][:, :half]
 
 
+def _finite(A: np.ndarray, what: str) -> np.ndarray:
+    """A itself, or a SolverError if it has a non-finite entry (a profile
+    whose radius is near 0 overflows H_n), before LAPACK would refuse it."""
+    if not np.all(np.isfinite(A)):
+        raise SolverError(f"{what}: the matrix to solve is not finite (H_n overflows on this profile)")
+    return A
+
+
 def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     """Top eigenpair of the symmetrized matrix by one ``np.linalg.eigh``.
 
@@ -107,7 +115,7 @@ def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     D^{-1/2} and mu-normalized positive.
     """
     S = K.sym_entries
-    vals, vecs = np.linalg.eigh(_even_block(S) if K.mirrored else S)
+    vals, vecs = np.linalg.eigh(_finite(_even_block(S) if K.mirrored else S, f"largest_eigenvalue: mode {K.n}"))
     x = vecs[:, -1]
     v = np.concatenate([x, x[::-1]]) / np.sqrt(2.0) if K.mirrored else x
     lam = float(vals[-1])
@@ -214,9 +222,10 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
     B = ctx.mode_b_matrices([1, m])[1]
     if ctx.mirrored:
-        vals, vecs = np.linalg.eig(np.diag(ctx.nu0[: ctx.n_nodes // 2]) - _even_block(B))
+        A = np.diag(ctx.nu0[: ctx.n_nodes // 2]) - _even_block(B)
     else:
-        vals, vecs = np.linalg.eig(np.diag(ctx.nu0) - B)
+        A = np.diag(ctx.nu0) - B
+    vals, vecs = np.linalg.eig(_finite(A, f"find_bifurcation_point: mode {m}"))
     j = int(np.argmin(vals.real))
     omega_m = float(vals[j].real)
     if not omega_m < ctx.omega_limit:

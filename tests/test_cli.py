@@ -1,6 +1,10 @@
 """CLI contract: commands, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,15 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--profile", "sphere", flag)
         assert code == 2
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["series:0", "series:1,2"])
+    def test_profile_the_solvers_refuse(self, tmp_path, spec):
+        # r0 <= 0 at grid nodes: no kernel context, so kappa is null, but
+        # the hypotheses are still reported
+        code, out = run(tmp_path, "validate", "--profile", spec, "--phi-nodes", "16", "--de-level", "4")
+        assert code == 2
+        payload = json.loads((out / "validate.json").read_text())
+        assert payload["kappa"] is None and not payload["h1_ok"]
 
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)
@@ -315,6 +328,43 @@ class TestBranch:
             assert all(pt["axis_velocity"] <= 1e-14 for pt in points)
             omegas.append([pt["omega"] for pt in points])
         assert np.max(np.abs(np.subtract(*omegas))) <= 1e-13
+
+
+class TestDegenerateProfile:
+    """A profile the kernel cannot carry ends in a documented exit code,
+    with a message and the config echo, never in a traceback: r0 <= 0 at
+    a grid node is refused before any solve (2), and a radius so small
+    that H_n overflows is a solver failure (3).  Run as a real process:
+    the overflow warns, which the test session turns into errors."""
+
+    ARGS = {
+        "bifpoints": ["--modes", "2"],
+        "dispersion": ["--modes", "1,2", "--omega-grid", "0"],
+        "branch": ["--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.002", "--steps", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize(
+        "spec,code,says",
+        [
+            ("series:0", 2, "r0 = 0 is not positive at the grid node"),
+            ("series:1,2", 2, "is not positive at the grid node"),
+            ("spheroid:1e-300", 3, "solver error"),
+        ],
+        ids=["series:0", "series:1,2", "spheroid:1e-300"],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, command, spec, code, says):
+        out = tmp_path / "out"
+        argv = [command, "--profile", spec, "--phi-nodes", "16", "--de-level", "4", *self.ARGS[command]]
+        env = {**os.environ, "PYTHONPATH": str(Path(qg3d.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qg3d.cli", *argv, "--outdir", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert says in proc.stderr
+        assert json.loads((out / f"{command}_config.json").read_text())["profile"] == spec
 
 
 class TestCrosscheck:

@@ -11,7 +11,6 @@ from qg3d.specfun import (
     digamma,
     f_n,
     f_n_many,
-    f_n_prime,
     gamma_fn,
     gauss_2f1,
     pochhammer,
@@ -255,12 +254,12 @@ class TestFnBuckets:
             assert np.array_equal(whole, np.concatenate([f_n_many(n, 1.0 - a, a), f_n_many(n, 1.0 - b, b)]))
             assert np.array_equal(whole, [f_n_many(n, 1.0 - v, v)[0] for v in u[:, None]])
 
-    def test_double_only_tables(self, monkeypatch):
+    def test_double_only_tables(self):
         # F_n runs in double alone: no table array is extended, and tables
         # built afresh give F_n bitwise
         u = np.concatenate([np.logspace(-14, 0, 200)[:-1], 1.0 - _near(specfun._fn_tables(8).x_edges)])
         before = {n: f_n_many(n, 1.0 - u, u) for n in range(1, 9)}
-        monkeypatch.setattr(specfun, "_FN_CACHE", {})
+        specfun._fn_tables.cache_clear()
         for n in range(1, 9):
             tab = specfun._fn_tables(n)
             arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
@@ -339,54 +338,6 @@ class TestFnManyModes:
     def test_bad_mode_named(self, ns, bad):
         with pytest.raises(DomainError, match=f"mode {bad} "):
             f_n_many(ns, np.array([0.5]))
-
-
-class TestFnPrime:
-    def test_at_zero(self):
-        assert f_n_prime(1, 0.0) == pytest.approx(0.75, rel=1e-13)
-        assert f_n_prime(2, 0.0) == pytest.approx(2.5 ** 2 / 5.0, rel=1e-13)
-
-    @pytest.mark.parametrize("n,x", [(1, 0.1), (1, 0.5), (2, 0.5), (3, 0.85), (2, 0.96)])
-    def test_finite_difference(self, n, x):
-        h = 1e-6
-        fd = (f_n(n, x + h) - f_n(n, x - h)) / (2 * h)
-        assert f_n_prime(n, x) == pytest.approx(fd, rel=1e-6)
-
-    def test_fd_order(self):
-        # centered differences converge at O(h^2) toward f_n_prime
-        x, n = 0.4, 2
-        errs = []
-        for h in (1e-2, 5e-3, 2.5e-3):
-            fd = (f_n(n, x + h) - f_n(n, x - h)) / (2 * h)
-            errs.append(abs(fd - f_n_prime(n, x)))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_series_branch_against_mpmath(self, n):
-        # the derivative series has term counts of its own: F_n's counts
-        # do not bound its slower tail
-        xs = np.linspace(0.0, 1.0 - specfun._fn_tables(n).u_switch, 201)[1:-1]
-        assert _prime_error(n, xs) <= 1e-15
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_against_mpmath_to_the_diagonal(self, n):
-        # the same check over u = 1 - x in [1e-12, 0.9], through both
-        # branches and the switch between them
-        assert _prime_error(n, 1.0 - np.logspace(-12, np.log10(0.9), 201)) <= 1e-15
-
-
-def _prime_error(n, xs):
-    """Worst relative error of f_n_prime on xs against mpmath at 40 digits."""
-    import mpmath
-
-    worst = 0.0
-    with mpmath.workdps(40):
-        a = mpmath.mpf(2 * n + 1) / 2
-        for x in xs:
-            ref = a * a / (2 * n + 1) * mpmath.hyp2f1(a + 1, a + 1, 2 * n + 2, mpmath.mpf(float(x)))
-            worst = max(worst, abs(float((mpmath.mpf(f_n_prime(n, float(x))) - ref) / ref)))
-    return worst
 
 
 class TestRingIntegral:

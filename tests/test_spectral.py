@@ -206,6 +206,15 @@ class TestBifurcationPoints:
         resid = Bh - (ctx_spheroid_half.nu0 - bp.omega_m) * bp.eigfun
         assert np.linalg.norm(resid) / np.linalg.norm(Bh) <= 1e-10
 
+    def test_non_finite_matrix_is_solver_error(self, sphere):
+        # a B_m that overflowed reaches no eigensolve, and the error names the mode
+        ctx = q.KernelContext(sphere, 16, 4, 3)
+        ctx.mode_b_matrix(3)[0, 0] = np.nan
+        with pytest.raises(SolverError, match="mode 3: .* not finite"):
+            q.find_bifurcation_point(ctx, 3)
+        with pytest.raises(SolverError, match="mode 3: .* not finite"):
+            q.largest_eigenvalue(q.assemble_kernel_matrix(ctx, 3, 0.0))
+
     def test_guard_hiding_root_is_solver_error(self, sphere):
         # kappa - guard = 1/6 lies left of Omega_6 = 1/3 - 1/13, hiding the root
         ctx = q.KernelContext(sphere, 16, 4, 3, guard_frac=0.5)
