@@ -125,7 +125,7 @@ def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
 
 def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
     """Reports the profile's hypotheses also where the solvers refuse it;
-    ``kappa`` is null when no context or no kappa can be computed."""
+    ``kappa`` is null, and the profile fails, when no context or no kappa can be computed."""
     report = validate_profile(profile, max(cfg.phi_nodes, 64))
     c_lo, c_hi = arc_chord_constants(profile)
     try:
@@ -145,10 +145,10 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
         "arc_chord_lo": c_lo,
         "arc_chord_hi": c_hi,
         "kappa": kappa,
-        "passed": report.passed,
+        "passed": report.passed and kappa is not None,
     }
     _write_json(outdir / "validate.json", payload)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return EXIT_OK if payload["passed"] else EXIT_VALIDATION
 
 
 def cmd_dispersion(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:

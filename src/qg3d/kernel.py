@@ -60,7 +60,9 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
   relative to max|B_n| (N = 96, de_level 7, modes 1..8, sphere,
   spheroid:0.5 and the bumped tabulated profile), because the split rules
   at pi - phi_i mirror those at phi_i only to round-off.  A profile that
-  fails the check takes the full walk.
+  fails the check takes the full walk.  The solves are halved the same
+  way: ``KernelContext.fold`` gives the even block of a centrosymmetric
+  matrix, ``unfold`` maps its solution back, and ``E`` is that unfold.
 * kappa is the least of nu0 and two extra H_1 rows, at the midpoints of
   the grid intervals on either side of argmin nu0: the Gauss nodes leave
   the equator and the poles uncovered, and a minimum there (the equator
@@ -160,7 +162,8 @@ def _hn_values(p: Profile, n: int, phi, vphi, clamp: bool = True):
 def _hn_chordal(n: int, sin_v, rp, rq, R, F):
     """H_n from sin(vphi), the :func:`_chordal` values (which do not depend
     on n) and F = F_n(x), formed in F's storage."""
-    F *= _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # radius near 0: solves, kappa refuse it
+        F *= _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5))
     return F
 
 
@@ -182,7 +185,8 @@ class KernelContext:
     grid node is a GeometryError: that is the part of H1 the grid can see.
     ``refined()`` doubles the grid and bumps both levels by one.
     ``mirrored`` records whether the profile is symmetric about the equator
-    to round-off, which halves the row walks (see the module notes).
+    to round-off, which halves the row walks (see the module notes) and the
+    solves: ``n_solved``, ``fold``, ``unfold`` and ``E`` follow it when used.
     """
 
     profile: Profile
@@ -217,6 +221,26 @@ class KernelContext:
         probe = np.linspace(0.0, np.pi, _MIRROR_PROBE + 2)[1:-1]
         self.mirrored = bool(mirror_defect(self.profile, probe) <= _MIRROR_TOL * np.max(np.abs(self.profile.r0(probe))))
         self._cache: dict = {}
+
+    @property
+    def n_solved(self) -> int:
+        """The rows a solve keeps: N/2 on a mirrored context, N otherwise."""
+        return self.n_nodes // 2 if self.mirrored else self.n_nodes
+
+    def fold(self, A: np.ndarray) -> np.ndarray:
+        """The action A[:h, :h] + A[:h, ::-1][:, :h], h = N/2, of a centrosymmetric
+        A on even samples [x, x[::-1]] if mirrored, else A itself."""
+        h = self.n_solved
+        return A[:h, :h] + A[:h, ::-1][:, :h] if self.mirrored else A
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """Grid samples of solved values: [x, x[::-1]] if mirrored, else x."""
+        return np.concatenate([x, x[::-1]]) if self.mirrored else x
+
+    @property
+    def E(self) -> np.ndarray:
+        """The unfold matrix, shape (N, n_solved): E x = unfold(x)."""
+        return self.unfold(np.eye(self.n_solved))
 
     def refined(self) -> "KernelContext":
         return KernelContext(
@@ -284,8 +308,7 @@ class KernelContext:
                 raise DomainError(f"mode_b_matrices: mode {n} is invalid, every mode must be >= 1")
         todo = [n for n in dict.fromkeys(ns) if ("B", n) not in self._cache]
         if todo:
-            N = self.n_nodes
-            rows = N // 2 if self.mirrored else N
+            N, rows = self.n_nodes, self.n_solved
             Bs = np.zeros((len(todo), N, N))
             for first, bounds, t, whs in self._row_blocks(todo, self.nodes[:rows]):
                 hits, nears = node_hits(self.nodes, t)
@@ -303,8 +326,7 @@ class KernelContext:
                         if hit.size:    # several nodes can round onto one grid node, so hits accumulate
                             np.add.at(Bs[:, i], (slice(None), near), whs[:, sl][:, hit])
                         del T  # freed before the next chunk's is built: peak memory
-            if self.mirrored:
-                Bs[:, rows:] = Bs[:, :rows][:, ::-1, ::-1]
+            Bs[:, rows:] = Bs[:, :N - rows][:, ::-1, ::-1]    # the mirror images; none unmirrored
             self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
         return [self._cache[("B", n)] for n in ns]
 
@@ -373,9 +395,9 @@ class KernelMatrix:
         sym_entries_ij = sqrt(mu_w_i mu_w_j) (M_ij + M_ji) / (mu_w_i + mu_w_j),
 
     bitwise symmetric by construction and equal to S wherever S is
-    already symmetric.  ``mirrored`` is the context's
-    ``KernelContext.mirrored``: the matrices are then centrosymmetric to
-    round-off.
+    already symmetric.  ``ctx`` is the context it was assembled on, whose
+    ``fold`` and ``unfold`` reduce a solve by the equatorial mirror: on a
+    mirrored context the matrices are centrosymmetric to round-off.
     """
 
     n: int
@@ -384,7 +406,7 @@ class KernelMatrix:
     sym_entries: np.ndarray
     nu: np.ndarray
     mu_w: np.ndarray
-    mirrored: bool
+    ctx: KernelContext = field(repr=False)
 
 
 def assemble_kernel_matrix(
@@ -412,7 +434,7 @@ def assemble_kernel_matrix(
     mu_w = ctx.mv * ctx.weights * nu_vals
     S = np.sqrt(np.outer(mu_w, mu_w)) * (M + M.T) / np.add.outer(mu_w, mu_w)
     return KernelMatrix(
-        n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w, mirrored=ctx.mirrored
+        n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w, ctx=ctx
     )
 
 

@@ -29,16 +29,16 @@ system {mode coefficients of Ftilde = 0, t . u = sigma} in the unknowns
 u = (f-coefficients on the solved phi targets, Omega), for any linear
 constraint row t: residual entry t . u - sigma, Jacobian row t.  Which
 phi targets are solved, and how they unfold to the kernel grid, is
-decided by ``Collocation.E`` alone.  Only ``continue_branch`` knows
-that its row is the amplitude s = <f_1, h*_m>.  The rest of the
-Jacobian is exact: ``_stream`` differentiates the closed form in its
-upper limit (the source surface) and in the target radius, chunk by
-chunk, and the chain rule through the radii, the theta-mean subtraction
-and the mode projection is linear.  That partials pass gives
-an iterate its residual and Jacobian (its I is bitwise the plain
-pass's); each line-search trial is one plain pass, which also gives U.
-A converged point takes its velocity-form check from the plain pass of
-the trial that Newton accepted.
+decided by the context's unfold matrix ``KernelContext.E`` alone.
+Only ``continue_branch`` knows that its row is the amplitude
+s = <f_1, h*_m>.  The rest of the Jacobian is exact: ``_stream``
+differentiates the closed form in its upper limit (the source surface)
+and in the target radius, chunk by chunk, and the chain rule through the
+radii, the theta-mean subtraction and the mode projection is linear.
+That partials pass gives an iterate its residual and Jacobian (its I is
+bitwise the plain pass's); each line-search trial is one plain pass,
+which also gives U.  A converged point takes its velocity-form check
+from the plain pass of the trial that Newton accepted.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DomainError, GeometryError, SolverError
 from .kernel import KernelContext
 from .quadrature import graded_split, interp_matrix, periodic_trapezoid, sigmoidal_trapezoid
-from .spectral import BifurcationPoint, find_bifurcation_point
+from .spectral import BifurcationPoint, _pole_values, find_bifurcation_point
 
 __all__ = [
     "Collocation",
@@ -86,14 +86,13 @@ _ETA_GRADING = 10
 class Collocation:
     """Collocation discretization of the nonlinear functional.
 
-    phi targets are the first n_phi nodes of the kernel-context grid,
-    and the unfold matrix E, shape (N, n_phi), maps values on them to
-    the whole grid.  On a mirrored context (``KernelContext.mirrored``)
-    E = I[:, :N/2] + I[::-1, :N/2] gives node N - 1 - n the value of
-    node n, which halves the solve; otherwise E = I_N.  theta targets
-    are the n_theta first-kind cosine sample points of one half
-    m-period, which diagonalize the retained cos(k m theta) modes,
-    k = 1..n_modes, of wavenumbers ``km`` = k m.
+    phi targets are the first n_phi = ``kctx.n_solved`` nodes of the
+    kernel grid, and the context's unfold matrix E = ``kctx.E``, shape
+    (N, n_phi), maps values on them to the whole grid (on a mirrored
+    context node N - 1 - n takes the value of node n).  theta targets are
+    the n_theta first-kind cosine sample points of one half m-period,
+    which diagonalize the retained cos(k m theta) modes, k = 1..n_modes,
+    of wavenumbers ``km`` = k m.
 
     n_vphi and n_eta are the node counts of the stream integral's rules:
     ``graded_split`` with n_vphi Gauss points on each side of the target
@@ -127,10 +126,7 @@ class Collocation:
             raise DomainError(
                 f"Collocation: n_modes must be < n_theta, got n_modes={self.n_modes}, n_theta={self.n_theta}"
             )
-        N = self.kctx.n_nodes
-        eye = np.eye(N)
-        self.E = eye[:, : N // 2] + eye[::-1, : N // 2] if self.kctx.mirrored else eye
-        self.n_phi = self.E.shape[1]
+        self.E, self.n_phi = self.kctx.E, self.kctx.n_solved
         j = np.arange(self.n_theta)
         self.theta = (2 * j + 1) * np.pi / (2 * self.m * self.n_theta)
         rule = sigmoidal_trapezoid(self.n_eta, _ETA_GRADING)
@@ -186,12 +182,7 @@ class Perturbation:
 
     def validate(self) -> dict:
         """Dirichlet extrapolants and min radius."""
-        x = self.col.kctx.nodes
-        end = 0.0
-        for row in self.coeffs:
-            c0 = np.polyfit(x[:3], row[:3], 2)
-            cpi = np.polyfit(x[-3:], row[-3:], 2)
-            end = max(end, abs(np.polyval(c0, 0.0)), abs(np.polyval(cpi, np.pi)))
+        end = max([0.0, *(v for row in self.coeffs for v in _pole_values(self.col.kctx.nodes, row))])
         rmin = float(np.min(self.radius_at_nodes(_SHAPE_THETA)))
         return {"endpoint_defect": float(end), "r_min": rmin}
 

@@ -14,7 +14,8 @@ together with its eigenfunction.
 On an equatorially mirrored context (``KernelContext.mirrored``) B_n,
 and to round-off both solves' matrices, are centrosymmetric and map even
 samples [x, x[::-1]] to even ones; both solves want the positive, hence
-even, eigenvector, so both run on the even block of size N/2.
+even, eigenvector, so both run on the even block of size N/2, which
+``KernelContext.fold`` gives and ``KernelContext.unfold`` maps back.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ class BoundaryReport:
     interior_max: float
 
 
-def _even_block(A: np.ndarray) -> np.ndarray:
-    """The action A[:h, :h] + A[:h, ::-1][:, :h], h = N/2, of a
-    centrosymmetric A on even samples [x, x[::-1]]."""
-    half = A.shape[0] // 2
-    return A[:half, :half] + A[:half, ::-1][:, :half]
-
-
 def _finite(A: np.ndarray, what: str) -> np.ndarray:
     """A itself, or a SolverError if it has a non-finite entry (a profile
     whose radius is near 0 overflows H_n), before LAPACK would refuse it."""
@@ -109,15 +103,14 @@ def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
     """Top eigenpair of the symmetrized matrix by one ``np.linalg.eigh``.
 
     The operator's kernel is positive, so its largest eigenvalue is
-    simple with a positive eigenvector.  On a mirrored context that
-    vector is even, so the solve runs on the even block and the vector
-    is [x, x[::-1]] / sqrt(2).  The eigenvector is mapped back through
+    simple with a positive eigenvector, which is even on a mirrored
+    context: the solve runs on ``ctx.fold``(S), and the unit vector is
+    ``ctx.unfold``(x) / sqrt(N / n_solved).  It is mapped back through
     D^{-1/2} and mu-normalized positive.
     """
-    S = K.sym_entries
-    vals, vecs = np.linalg.eigh(_finite(_even_block(S) if K.mirrored else S, f"largest_eigenvalue: mode {K.n}"))
-    x = vecs[:, -1]
-    v = np.concatenate([x, x[::-1]]) / np.sqrt(2.0) if K.mirrored else x
+    ctx, S = K.ctx, K.sym_entries
+    vals, vecs = np.linalg.eigh(_finite(ctx.fold(S), f"largest_eigenvalue: mode {K.n}"))
+    v = ctx.unfold(vecs[:, -1]) / np.sqrt(ctx.n_nodes / ctx.n_solved)
     lam = float(vals[-1])
     resid = float(np.linalg.norm(S @ v - lam * v))
     return SpectralResult(K.n, K.omega, lam, _mu_normalized(v / np.sqrt(K.mu_w), K.mu_w), 0, resid)
@@ -211,20 +204,18 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     beyond kappa - guard means the guard hides the root.
 
     On a mirrored context the leftmost eigenfunction is even (it is the
-    positive one), so the solve runs on the even block
-    diag(nu0[:h]) - _even_block(B_m), h = N/2, and the eigenfunction is
-    [v, v[::-1]], exactly even.  Besides halving the solve, this keeps
-    Omega_m accurate: on the sphere (N = 96, de_level 7, m = 2..6) the
-    full eigensolve of the mirrored B_m is off the oracle 1/3 - 1/(2m+1)
-    by up to 2.7e-15 (m = 6), the even block by 1.0e-15.
+    positive one), so the solve runs on the even block diag(nu0[:h]) -
+    ``ctx.fold``(B_m), h = ``ctx.n_solved`` = N/2, and the eigenfunction
+    is ``ctx.unfold``(v) = [v, v[::-1]], exactly even.  Besides halving
+    the solve, this keeps Omega_m accurate: on the sphere (N = 96,
+    de_level 7, m = 2..6) the full eigensolve of the mirrored B_m is off
+    the oracle 1/3 - 1/(2m+1) by up to 2.7e-15 (m = 6), the even block
+    by 1.0e-15.
     """
     if m < 2:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
     B = ctx.mode_b_matrices([1, m])[1]
-    if ctx.mirrored:
-        A = np.diag(ctx.nu0[: ctx.n_nodes // 2]) - _even_block(B)
-    else:
-        A = np.diag(ctx.nu0) - B
+    A = np.diag(ctx.nu0[: ctx.n_solved]) - ctx.fold(B)
     vals, vecs = np.linalg.eig(_finite(A, f"find_bifurcation_point: mode {m}"))
     j = int(np.argmin(vals.real))
     omega_m = float(vals[j].real)
@@ -235,10 +226,16 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
         )
     nu = ctx.nu0 - omega_m
     mu_w = ctx.mv * ctx.weights * nu
-    v = vecs[:, j].real
-    h = _mu_normalized(np.concatenate([v, v[::-1]]) if ctx.mirrored else v, mu_w)
+    h = _mu_normalized(ctx.unfold(vecs[:, j].real), mu_w)
     lam = float(np.sum(h * mu_w * (B @ h) / nu))
     return BifurcationPoint(m, omega_m, h, lam)
+
+
+def _pole_values(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """|q(0)| and |q(pi)| for the quadratics q through the samples (x, y)
+    at the three end nodes on each side."""
+    ends = ((slice(3), 0.0), (slice(-3, None), np.pi))
+    return tuple(abs(float(np.polyval(np.polyfit(x[e], y[e], 2), pole))) for e, pole in ends)
 
 
 def eigenfunction_boundary_report(ctx: KernelContext, h: np.ndarray) -> BoundaryReport:
@@ -246,15 +243,7 @@ def eigenfunction_boundary_report(ctx: KernelContext, h: np.ndarray) -> Boundary
     nodes on each side, for eigenfunction samples h on the grid (boundary
     behavior diagnostic)."""
     h = np.abs(h)
-    x = ctx.nodes
-
-    def extrap(idx, target):
-        c = np.polyfit(x[idx], h[idx], 2)
-        return abs(float(np.polyval(c, target)))
-
-    v0 = extrap([0, 1, 2], 0.0)
-    vpi = extrap([-3, -2, -1], np.pi)
-    return BoundaryReport(v0, vpi, float(np.max(h)))
+    return BoundaryReport(*_pole_values(ctx.nodes, h), float(np.max(h)))
 
 
 def kernel_dimension_check(ctx: KernelContext, m: int, n_max: int):

@@ -78,6 +78,20 @@ class TestValidate:
         payload = json.loads((out / "validate.json").read_text())
         assert payload["kappa"] is None and not payload["h1_ok"]
 
+    def test_profile_too_small_for_the_kernel(self, tmp_path):
+        # H1 to H3 hold at radius 1e-300, but H_n overflows, kappa is null
+        # and every solver exits 3, so the profile fails; the report keeps
+        # every field (the session turns a RuntimeWarning into an error)
+        code, out = run(tmp_path, "validate", "--profile", "spheroid:1e-300", "--phi-nodes", "16", "--de-level", "4")
+        assert code == 2
+        payload = json.loads((out / "validate.json").read_text())
+        assert payload["kappa"] is None and payload["passed"] is False
+        assert payload["h1_ok"] and payload["h2_ok"] and payload["h3_ok"]
+        assert set(payload) == {
+            "profile", "h1_ok", "h2_ok", "h3_ok", "endpoint_values", "interior_min", "h2_lo", "h2_hi",
+            "sym_defect", "arc_chord_lo", "arc_chord_hi", "kappa", "passed",
+        }
+
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)
         r0 = np.sin(phi) * (1.0 + 0.3 * np.cos(phi))  # breaks H3
@@ -334,8 +348,9 @@ class TestDegenerateProfile:
     """A profile the kernel cannot carry ends in a documented exit code,
     with a message and the config echo, never in a traceback: r0 <= 0 at
     a grid node is refused before any solve (2), and a radius so small
-    that H_n overflows is a solver failure (3).  Run as a real process:
-    the overflow warns, which the test session turns into errors."""
+    that H_n overflows is a solver failure (3).  Run as a real process
+    through the module entry point with RuntimeWarnings as errors: the
+    overflow must not warn."""
 
     ARGS = {
         "bifpoints": ["--modes", "2"],
@@ -358,11 +373,12 @@ class TestDegenerateProfile:
         argv = [command, "--profile", spec, "--phi-nodes", "16", "--de-level", "4", *self.ARGS[command]]
         env = {**os.environ, "PYTHONPATH": str(Path(qg3d.__file__).parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-m", "qg3d.cli", *argv, "--outdir", str(out)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qg3d.cli", *argv, "--outdir", str(out)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr + proc.stdout
+        assert "Warning" not in proc.stderr
         assert says in proc.stderr
         assert json.loads((out / f"{command}_config.json").read_text())["profile"] == spec
 

@@ -448,6 +448,32 @@ class TestEquatorialMirror:
     def test_gate(self, name, mirrored):
         assert q.KernelContext(_profile(name), 16, 4, 3).mirrored is mirrored
 
+    @pytest.mark.parametrize("case", ["mirrored", "asym", "forced full"])
+    def test_fold_and_unfold(self, request, case):
+        # the solves' mirror reduction, bitwise the slicing and
+        # concatenation of the even block, [x, x[::-1]] and the unfold
+        # matrix; the identity wherever the context is not mirrored, also
+        # when the flag is cleared after construction
+        if case == "asym":
+            ctx = request.getfixturevalue("asym_ctx")
+        else:
+            ctx = q.KernelContext(_profile("sphere"), 16, 4, 3)
+            ctx.mirrored = case == "mirrored"
+        N, half = ctx.n_nodes, ctx.n_nodes // 2
+        A = np.random.default_rng(5).standard_normal((N, N))
+        x, X = A[:, 0], A[:, :3]
+        if case == "mirrored":
+            eye = np.eye(N)
+            assert ctx.n_solved == half
+            assert np.array_equal(ctx.fold(A), A[:half, :half] + A[:half, ::-1][:, :half])
+            for v in (x[:half], X[:half]):
+                assert np.array_equal(ctx.unfold(v), np.concatenate([v, v[::-1]]))
+            assert np.array_equal(ctx.E, eye[:, :half] + eye[::-1, :half])
+        else:
+            assert ctx.n_solved == N and ctx.fold(A) is A and ctx.unfold(x) is x and ctx.unfold(X) is X
+            assert np.array_equal(ctx.E, np.eye(N))
+        assert np.array_equal(ctx.E @ X[:ctx.n_solved], ctx.unfold(X[:ctx.n_solved]))
+
     @pytest.mark.parametrize("name", ["sphere", "spheroid:0.5", "bumped"])
     def test_half_walk_matches_full_walk(self, name):
         # the split rules at pi - phi_i mirror those at phi_i only to

@@ -331,6 +331,17 @@ class TestNewtonAndBranch:
         omegas = np.array([pt.omega for pt in branch.points])
         assert np.all(np.abs(np.diff(np.abs(omegas - bp.omega_m))) >= 0)
 
+    def test_endpoint_defect_matches_per_row_fits(self, col_sphere_m2):
+        # bitwise the largest |quadratic| at the poles over the signed
+        # rows, one fit per side and row written out
+        col = col_sphere_m2
+        f = Perturbation(col, 0.01 * np.random.default_rng(4).standard_normal((col.n_modes, col.kctx.n_nodes)))
+        x, end = col.kctx.nodes, 0.0
+        for row in f.coeffs:
+            c0, cpi = np.polyfit(x[:3], row[:3], 2), np.polyfit(x[-3:], row[-3:], 2)
+            end = max(end, abs(np.polyval(c0, 0.0)), abs(np.polyval(cpi, np.pi)))
+        assert f.validate()["endpoint_defect"] == float(end) > 0.0
+
     def test_first_point_linear_prediction(self, col_sphere_m2):
         # || f(s) - s h* cos(m theta) || = O(s^2): the defect drops ~4x
         # when the first step is halved

@@ -237,13 +237,30 @@ class TestEvenBlock:
             assert abs(bp.omega_m - full) <= 1e-14 * abs(full)
             assert np.array_equal(bp.eigfun, bp.eigfun[::-1])
 
-    def test_asymmetric_full_eigensolve(self, asym_ctx):
+    def test_asymmetric_full_eigensolve(self, asym_ctx, sphere):
+        # an asymmetric profile, and the sphere with the mirror cleared
+        # after construction, take the full solves bitwise
         assert not asym_ctx.mirrored
-        vals = np.linalg.eig(np.diag(asym_ctx.nu0) - asym_ctx.mode_b_matrix(2))[0]
-        assert q.find_bifurcation_point(asym_ctx, 2).omega_m == float(np.min(vals.real))
+        forced = q.KernelContext(sphere, 16, 4, 3)
+        forced.mirrored = False
+        for ctx in (asym_ctx, forced):
+            vals = np.linalg.eig(np.diag(ctx.nu0) - ctx.mode_b_matrix(2))[0]
+            assert q.find_bifurcation_point(ctx, 2).omega_m == float(np.min(vals.real))
+            K = q.assemble_kernel_matrix(ctx, 2, 0.0)
+            assert q.largest_eigenvalue(K).lam == float(np.linalg.eigh(K.sym_entries)[0][-1])
 
 
 class TestBoundaryReport:
+    def test_matches_per_side_fits(self, asym_ctx):
+        # bitwise the quadratic through each side's three end nodes of
+        # |h|, one fit per side written out
+        h = np.abs(np.random.default_rng(2).standard_normal(asym_ctx.n_nodes))
+        x = asym_ctx.nodes
+        ref = [abs(float(np.polyval(np.polyfit(x[idx], h[idx], 2), pole)))
+               for idx, pole in (([0, 1, 2], 0.0), ([-3, -2, -1], np.pi))]
+        rep = q.eigenfunction_boundary_report(asym_ctx, -h)
+        assert [rep.value_0, rep.value_pi, rep.interior_max] == [*ref, float(np.max(h))]
+
     def test_dichotomy(self, sphere):
         ctx_c = q.KernelContext(sphere, 96, 9, 3)
         ctx_f = q.KernelContext(sphere, 192, 10, 3)
