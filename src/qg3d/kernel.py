@@ -50,6 +50,14 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
   adds its weight to that node's column instead, and several such nodes
   accumulate.  The walk forms no Lagrange matrix and does not call
   ``interp_matrix``.
+* Two processes.  A walk of at least _FORK_ROWS rows, on Linux with two
+  CPUs to run on and no Python thread besides the main one, is shared
+  with a child made by ``os.fork`` (``KernelContext._walk_forked``): both
+  take row blocks from one queue until it is empty, the child writing its
+  rows into an anonymous shared mapping and leaving by ``os._exit``, so
+  the split follows the CPU time each process gets.  A row runs the same
+  code in either process, so B_n is bitwise the serial walk's; the child
+  does not share the parent's GIL, which a thread pool over the rows did.
 * Equatorial mirror.  When r0(pi - phi) = r0(phi) to round-off (checked
   once per context on _MIRROR_PROBE interior points at _MIRROR_TOL
   relative, ``KernelContext.mirrored``), H_n(pi - phi, pi - vphi) =
@@ -73,6 +81,12 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import select
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +132,14 @@ _POLE_CUT = 1e-5
 # misses it by 13 orders of magnitude (defect 0.0995).
 _MIRROR_PROBE = 256
 _MIRROR_TOL = 1e-14
+# Walked rows from which ``KernelContext.mode_b_matrices`` shares its row
+# blocks with a forked child (``_walk_forked``).  The walk of B_1..B_6 on
+# the sphere, de_level 7, medians of 15 on a shared 2-CPU VM, serial
+# against a child that walks the second half of the blocks: 8 rows
+# (N = 16) 8.6-9.4 against 10.6-11.9 ms, 12 rows 13-17 against 15-20 ms,
+# 16 rows 19.5-28.8 against 15.8-22.5 ms, 48 rows (N = 96) 65-69 against
+# 44-57 ms.
+_FORK_ROWS = 16
 
 
 def _cn(n: int) -> float:
@@ -165,6 +187,19 @@ def _hn_chordal(n: int, sin_v, rp, rq, R, F):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # radius near 0: solves, kappa refuse it
         F *= _cn(n) * sin_v * rp ** (n - 1) * rq ** (n + 1) * R ** (-(n + 0.5))
     return F
+
+
+def _may_fork(rows: int) -> bool:
+    """Whether a walk of ``rows`` rows is shared with a forked child: on
+    Linux, with at least _FORK_ROWS rows and a queue of block first rows
+    that fits one atomic pipe write, two CPUs to run on and no Python
+    thread besides this one (a fork copies the calling thread alone)."""
+    return (
+        sys.platform == "linux"
+        and _FORK_ROWS <= rows <= _ROW_BLOCK * (select.PIPE_BUF // 4)
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
 
 
 def h_n(p: Profile, n: int, phi, vphi):
@@ -257,14 +292,14 @@ class KernelContext:
         keep = (t > _POLE_CUT * phi_t) & (np.pi - t > _POLE_CUT * (np.pi - phi_t))
         return t[keep], rule.weights[keep]
 
-    def _row_blocks(self, ns, targets: np.ndarray):
+    def _row_blocks(self, ns, targets: np.ndarray, first: int = 0):
         """Yield (first, bounds, t, whs) for consecutive blocks of at most
-        _ROW_BLOCK targets: t concatenates the split tanh-sinh nodes of the
-        block's targets, whs[k] holds the rule weights times
-        H_{ns[k]}(target, t), formed in place in the rows of one F_n call
-        for all modes on geometry shared by all modes, and the row of
-        target first + r is t[bounds[r]:bounds[r + 1]]."""
-        for first in range(0, len(targets), _ROW_BLOCK):
+        _ROW_BLOCK targets from ``first`` on: t concatenates the split
+        tanh-sinh nodes of the block's targets, whs[k] holds the rule
+        weights times H_{ns[k]}(target, t), formed in place in the rows of
+        one F_n call for all modes on geometry shared by all modes, and
+        the row of target first + r is t[bounds[r]:bounds[r + 1]]."""
+        for first in range(first, len(targets), _ROW_BLOCK):
             block = targets[first:first + _ROW_BLOCK]
             rules = [self.row_rule(pt) for pt in block]
             sizes = [len(t) for t, _ in rules]
@@ -278,6 +313,89 @@ class KernelContext:
                 wh *= w
             del rp, rq, R, one_minus, sin_t  # freed before the next block's are built: peak memory
             yield first, np.cumsum([0, *sizes]), t, whs
+
+    def _walk_rows(self, ns, start: int, stop: int, out: np.ndarray):
+        """Add the rows start <= i < stop of B_n, n in ``ns``, to
+        out[:, i - start]; start is a multiple of _ROW_BLOCK, so the
+        blocks are those of a walk from row 0."""
+        for first, bounds, t, whs in self._row_blocks(ns, self.nodes[:stop], start):
+            hits, nears = node_hits(self.nodes, t)
+            for i, lo, hi in zip(range(first, stop), bounds[:-1], bounds[1:]):
+                row = out[:, i - start]
+                for c in range(lo, hi, _LAGRANGE_CHUNK):
+                    sl = slice(c, min(c + _LAGRANGE_CHUNK, hi))
+                    h0, h1 = np.searchsorted(hits, [sl.start, sl.stop])    # the block's hits in this chunk
+                    hit, near = hits[h0:h1] - c, nears[h0:h1]
+                    T = barycentric_terms(self.nodes, self.bary, t[sl], hit, near)
+                    scaled = whs[:, sl] / T.sum(axis=1)    # the same sums interp_matrix divides by
+                    scaled[:, hit] = 0.0
+                    # a vector-matrix product per mode (a GEMM over the modes would
+                    # let BLAS round each B_n differently with the number of modes)
+                    row += np.matmul(scaled[:, None, :], T)[:, 0]
+                    if hit.size:    # several nodes can round onto one grid node, so hits accumulate
+                        np.add.at(row, (slice(None), near), whs[:, sl][:, hit])
+                    del T  # freed before the next chunk's is built: peak memory
+
+    def _walk_forked(self, ns, rows: int, Bs: np.ndarray):
+        """The rows i < ``rows`` of :meth:`_walk_rows` in two processes
+        that share out the row blocks as they go: each takes its next
+        block from one queue (a pipe of first rows), this process walking
+        into Bs and a forked child into an anonymous shared mapping, so a
+        process that other load slows walks fewer blocks.  This process
+        then reaps the child and copies the blocks it did not walk.  Each
+        row runs the same arithmetic in either process, so Bs is bitwise
+        the serial walk's.  When the fork fails, this process empties the
+        queue alone; when the child fails or is killed, it walks the
+        child's blocks; an error in this process's own blocks propagates
+        once the child is reaped."""
+        firsts = range(0, rows, _ROW_BLOCK)
+        shared = np.frombuffer(mmap.mmap(-1, Bs[:, :rows].nbytes), dtype=float).reshape(len(ns), rows, -1)
+        queue, feed = os.pipe()
+        os.write(feed, np.array(firsts, dtype="<u4").tobytes())    # one write the pipe takes whole (_may_fork)
+        os.close(feed)
+
+        def walk(out):
+            # the blocks taken from the queue until it is empty, walked into
+            # out; their first rows
+            taken = []
+            while item := os.read(queue, 4):
+                first = int.from_bytes(item, "little")
+                taken.append(first)
+                self._walk_rows(ns, first, min(first + _ROW_BLOCK, rows), out[:, first:])
+            return taken
+
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn when other OS threads exist, and
+            # OpenBLAS's workers count: its own atfork handler joins them
+            # before the fork, and the child runs numpy alone and leaves by
+            # os._exit without flushing stdio
+            warnings.filterwarnings(
+                "ignore", message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                category=DeprecationWarning,
+            )
+            try:
+                pid = os.fork()
+            except OSError:    # no process to be had (a process or memory limit)
+                pid = None
+        if pid == 0:
+            # the child never returns into its caller: it leaves by os._exit,
+            # with 1 on any error, interrupts included
+            try:
+                walk(shared)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        try:
+            taken = walk(Bs)
+        finally:
+            os.close(queue)
+            ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        for first in sorted(set(firsts) - set(taken)):
+            stop = min(first + _ROW_BLOCK, rows)
+            if ok:
+                Bs[:, first:stop] = shared[:, first:stop]
+            else:
+                self._walk_rows(ns, first, stop, Bs[:, first:])
 
     def mode_tables(self, n: int):
         """Cached (B_n, row integrals int_0^pi H_n(phi_i, .)) for mode n;
@@ -301,7 +419,9 @@ class KernelContext:
         their weights over the row sums of their terms into one product
         per mode, and a node within 1e-14 of a grid node adds its weight
         to that node's column instead.  On a mirrored context the walk
-        covers the rows i < N/2 and the others are their mirror images."""
+        covers the rows i < N/2 and the others are their mirror images; a
+        walk of at least _FORK_ROWS rows may run in two processes (see
+        :meth:`_walk_forked`)."""
         ns = list(ns)
         for n in ns:
             if n < 1:
@@ -310,22 +430,10 @@ class KernelContext:
         if todo:
             N, rows = self.n_nodes, self.n_solved
             Bs = np.zeros((len(todo), N, N))
-            for first, bounds, t, whs in self._row_blocks(todo, self.nodes[:rows]):
-                hits, nears = node_hits(self.nodes, t)
-                for i, lo, hi in zip(range(first, rows), bounds[:-1], bounds[1:]):
-                    for c in range(lo, hi, _LAGRANGE_CHUNK):
-                        sl = slice(c, min(c + _LAGRANGE_CHUNK, hi))
-                        h0, h1 = np.searchsorted(hits, [sl.start, sl.stop])    # the block's hits in this chunk
-                        hit, near = hits[h0:h1] - c, nears[h0:h1]
-                        T = barycentric_terms(self.nodes, self.bary, t[sl], hit, near)
-                        scaled = whs[:, sl] / T.sum(axis=1)    # the same sums interp_matrix divides by
-                        scaled[:, hit] = 0.0
-                        # a vector-matrix product per mode (a GEMM over the modes would
-                        # let BLAS round each B_n differently with the number of modes)
-                        Bs[:, i] += np.matmul(scaled[:, None, :], T)[:, 0]
-                        if hit.size:    # several nodes can round onto one grid node, so hits accumulate
-                            np.add.at(Bs[:, i], (slice(None), near), whs[:, sl][:, hit])
-                        del T  # freed before the next chunk's is built: peak memory
+            if _may_fork(rows):
+                self._walk_forked(todo, rows, Bs)
+            else:
+                self._walk_rows(todo, 0, rows, Bs)
             Bs[:, rows:] = Bs[:, :N - rows][:, ::-1, ::-1]    # the mirror images; none unmirrored
             self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
         return [self._cache[("B", n)] for n in ns]

@@ -231,14 +231,10 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric interpolation weights for arbitrary distinct nodes,
     rescaled by the interval capacity to avoid overflow."""
     nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
     cap = (nodes[-1] - nodes[0]) / 4.0
-    w = np.empty(n)
-    for j in range(n):
-        d = (nodes[j] - nodes) / cap
-        d[j] = 1.0
-        w[j] = 1.0 / np.prod(d)
-    return w
+    d = (nodes[:, None] - nodes) / cap
+    np.fill_diagonal(d, 1.0)
+    return 1.0 / np.prod(d, axis=1)
 
 
 def node_hits(nodes: np.ndarray, x: np.ndarray):

@@ -1,6 +1,11 @@
 """Kernels H_n, the coefficient function nu, kappa, and Nystrom assembly."""
 
 import math
+import os
+import select
+import signal
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -509,6 +514,173 @@ class TestEquatorialMirror:
         assert np.array_equal(asym_ctx.mode_b_matrix(2), ref)
         rows = [np.add.reduceat(row(pt, 1)[1], [0])[0] for pt in _kappa_midpoints(asym_ctx)]
         assert asym_ctx.kappa == min(np.min(asym_ctx.nu0), min(rows))
+
+
+class TestForkedWalk:
+    """The B_n walk in two processes is bitwise the serial walk, shares the
+    row blocks by the CPU time each process gets, leaves no child behind,
+    survives a failed child and forks only where it may."""
+
+    MODES = range(1, 9)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # a machine with one CPU would take the serial path everywhere
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or real())
+        return calls
+
+    @staticmethod
+    def _serial(p, N=96, de_level=7, modes=MODES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_FORK_ROWS", 10 ** 9)
+            return q.KernelContext(p, N, de_level, 3).mode_b_matrices(modes)
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("g", [(1.0,), (0.5,), (1.0, 0.1)], ids=["sphere", "spheroid:0.5", "series:1,0.1"])
+    def test_bitwise_serial(self, g, forks):
+        p = q.make_profile("series", g=g)
+        ctx = q.KernelContext(p, 96, 7, 3)
+        Bs = ctx.mode_b_matrices(self.MODES)
+        assert forks == [os.getpid()]
+        assert ctx.mirrored is (len(g) == 1)
+        self._no_child_left()
+        for B, ref in zip(Bs, self._serial(p)):
+            assert np.array_equal(B, ref)
+
+    @pytest.mark.parametrize("held", ["child", "parent"])
+    @pytest.mark.parametrize("N", [32, 36, 96])
+    def test_blocks_follow_the_cpu_time(self, N, held, forks, monkeypatch):
+        # one process is held in its first block until the other has
+        # emptied the queue (the child: until this process waits for it;
+        # this process: until the child leaves), so the other walks every
+        # further block; this process walks whole blocks from block
+        # boundaries, and the copied rows are bitwise the serial walk's
+        p, parent = q.make_profile("sphere"), os.getpid()
+        ref = self._serial(p, N, 4, [2])
+        real_walk, real_waitpid, real_exit = kernel.KernelContext._walk_rows, os.waitpid, os._exit
+        calls, (wait, go) = [], os.pipe()
+
+        def walk_rows(self, ns, start, stop, out):
+            if os.getpid() == parent:
+                calls.append((start, stop))
+            if (os.getpid() == parent) is (held == "parent"):
+                os.read(wait, 1)
+            return real_walk(self, ns, start, stop, out)
+
+        def waitpid(pid, options):
+            if held == "child" and options == 0:    # the walk's wait for its child
+                os.write(go, b"1")
+            return real_waitpid(pid, options)
+
+        def leave(code):
+            if held == "parent":
+                os.write(go, b"1")
+            real_exit(code)
+
+        monkeypatch.setattr(kernel.KernelContext, "_walk_rows", walk_rows)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "_exit", leave)
+        try:
+            B = q.KernelContext(p, N, 4, 3).mode_b_matrix(2)
+        finally:
+            os.close(wait)
+            os.close(go)
+        assert forks == [parent]
+        self._no_child_left()
+        rows = N // 2
+        blocks = len(range(0, rows, _ROW_BLOCK))
+        assert all(start % _ROW_BLOCK == 0 and stop == min(start + _ROW_BLOCK, rows) for start, stop in calls)
+        assert len(set(calls)) == len(calls)
+        assert len(calls) >= blocks - 1 if held == "child" else len(calls) <= 1
+        assert np.array_equal(B, ref[0])
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_failed_child(self, how, forks, monkeypatch):
+        parent, real = os.getpid(), kernel.barycentric_terms
+
+        def failing_in_child(*a):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child fails")
+            return real(*a)
+
+        monkeypatch.setattr(kernel, "barycentric_terms", failing_in_child)
+        Bs = q.KernelContext(q.make_profile("sphere"), 96, 7, 3).mode_b_matrices(self.MODES)
+        assert forks == [parent]
+        self._no_child_left()
+        for B, ref in zip(Bs, self._serial(q.make_profile("sphere"))):
+            assert np.array_equal(B, ref)
+
+    def test_failed_fork(self, monkeypatch):
+        def no_process():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        Bs = q.KernelContext(q.make_profile("sphere"), 96, 7, 3).mode_b_matrices(self.MODES)
+        for B, ref in zip(Bs, self._serial(q.make_profile("sphere"))):
+            assert np.array_equal(B, ref)
+
+    def test_parent_error_propagates_after_reaping(self, forks, monkeypatch):
+        parent, real = os.getpid(), kernel.barycentric_terms
+
+        def failing_in_parent(*a):
+            if os.getpid() == parent:
+                raise RuntimeError("parent fails")
+            return real(*a)
+
+        monkeypatch.setattr(kernel, "barycentric_terms", failing_in_parent)
+        with pytest.raises(RuntimeError, match="parent fails"):
+            q.KernelContext(q.make_profile("sphere"), 96, 7, 3).mode_b_matrix(2)
+        assert forks == [parent]
+        self._no_child_left()
+
+    def test_queue_fits_one_pipe_write(self):
+        # the block queue is written whole before the fork, in one write
+        # that a pipe takes without blocking
+        most = _ROW_BLOCK * (select.PIPE_BUF // 4)
+        assert kernel._may_fork(kernel._FORK_ROWS) and kernel._may_fork(most)
+        assert not kernel._may_fork(most + 1)
+
+    @pytest.mark.parametrize("case", ["one CPU", "second thread", "few rows"])
+    def test_serial_where_it_may_not_fork(self, case, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        N = 8 if case == "few rows" else 96
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        if case == "second thread":
+            worker.start()
+        try:
+            B = q.KernelContext(q.make_profile("sphere"), N, 7, 3).mode_b_matrix(2)
+        finally:
+            stop.set()
+            if case == "second thread":
+                worker.join(10)
+        assert not worker.is_alive()
+        assert np.all(np.isfinite(B))
+
+    def test_no_warning(self, forks):
+        # recorded rather than raised: Python 3.12 discards os.fork's
+        # warning when a filter makes it an error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q.KernelContext(q.make_profile("sphere"), 96, 7, 3).mode_b_matrices(self.MODES)
+        assert caught == [] and forks == [os.getpid()]
+        self._no_child_left()
 
 
 class TestOmegaGuard:

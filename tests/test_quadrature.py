@@ -209,6 +209,23 @@ class TestRefinementAndPositivity:
 
 
 class TestBarycentric:
+    @staticmethod
+    def _loop_weights(nodes):
+        # the per-node loop the vectorized product replaced
+        cap = (nodes[-1] - nodes[0]) / 4.0
+        w = np.empty(len(nodes))
+        for j in range(len(nodes)):
+            d = (nodes[j] - nodes) / cap
+            d[j] = 1.0
+            w[j] = 1.0 / np.prod(d)
+        return w
+
+    @pytest.mark.parametrize("n", [8, 16, 48, 96, 192, 384])
+    def test_weights_bitwise_loop(self, n):
+        gauss = q.KernelContext(q.make_profile("sphere"), n, 4, 3).nodes
+        for nodes in (gauss, np.linspace(0.1, 3.0, n)):
+            assert np.array_equal(barycentric_weights(nodes), self._loop_weights(nodes))
+
     def test_reproduces_nodes(self):
         nodes = 0.5 * np.pi * (1 + np.polynomial.legendre.leggauss(12)[0])
         bw = barycentric_weights(nodes)
