@@ -124,10 +124,15 @@ def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
 
 
 def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
-    """Reports the profile's hypotheses also where the solvers refuse it;
-    ``kappa`` is null, and the profile fails, when no context or no kappa can be computed."""
+    """Reports the profile's hypotheses also where the solvers refuse it:
+    ``kappa`` is null when no context or no kappa can be computed, the
+    arc-chord constants are null when they are not finite, and the profile
+    then fails."""
     report = validate_profile(profile, max(cfg.phi_nodes, 64))
-    c_lo, c_hi = arc_chord_constants(profile)
+    try:
+        c_lo, c_hi = arc_chord_constants(profile)
+    except GeometryError:
+        c_lo = c_hi = None
     try:
         kappa = _context(cfg, profile).kappa
     except (GeometryError, AccuracyError):
@@ -145,7 +150,7 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
         "arc_chord_lo": c_lo,
         "arc_chord_hi": c_hi,
         "kappa": kappa,
-        "passed": report.passed and kappa is not None,
+        "passed": report.passed and kappa is not None and c_lo is not None,
     }
     _write_json(outdir / "validate.json", payload)
     return EXIT_OK if payload["passed"] else EXIT_VALIDATION
@@ -162,35 +167,33 @@ def cmd_dispersion(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     return EXIT_OK
 
 
+def _eigenfunctions(ctx: KernelContext, modes, omega, outdir: Path):
+    """Yield (m, h, omega, lambda) per listed mode m, on one walk of every
+    B_m: the eigenpair of Omega_m, or the top eigenpair of K_m at ``omega``
+    when it is given, with ``eigenfun_m{m}.csv`` written before the next
+    mode is solved.  Modes below 1 are left to the solvers, which reject
+    them after the outputs of the modes listed before them are written."""
+    ctx.mode_b_matrices(m for m in modes if m >= 1)
+    for m in modes:
+        if omega is None:
+            bp = spectral.find_bifurcation_point(ctx, m)
+            h, om, lam = bp.eigfun, bp.omega_m, bp.lam
+        else:
+            res = spectral.largest_eigenvalue(assemble_kernel_matrix(ctx, m, omega))
+            h, om, lam = res.eigvec, omega, res.lam
+        _write_csv(outdir / f"eigenfun_m{m}.csv", ["phi", "h"], list(zip(ctx.nodes, h)))
+        yield m, h, om, lam
+
+
 def cmd_bifpoints(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
-    # one walk builds B_1 (for nu0) and every B_m; modes below 1 are left to
-    # the solvers, which reject them after the outputs of the modes listed
-    # before them are written
-    ctx.mode_b_matrices([1, *(m for m in cfg.modes if m >= 1)])
-    rows = []
-    for m in cfg.modes:
-        bp = spectral.find_bifurcation_point(ctx, m)
-        rows.append((m, bp.omega_m, bp.lam))
-        _write_csv(
-            outdir / f"eigenfun_m{m}.csv",
-            ["phi", "h"],
-            list(zip(ctx.nodes, bp.eigfun)),
-        )
+    rows = [(m, om, lam) for m, _, om, lam in _eigenfunctions(ctx, cfg.modes, None, outdir)]
     _write_csv(outdir / "bifpoints.csv", ["m", "omega_m", "lambda"], rows)
     return EXIT_OK
 
 
 def cmd_eigenfun(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
-    ctx.mode_b_matrices([1, *(m for m in cfg.modes if m >= 1)])
     reports = {}
-    for m in cfg.modes:
-        if cfg.omega is not None:
-            res = spectral.largest_eigenvalue(assemble_kernel_matrix(ctx, m, cfg.omega))
-            h, omega, lam = res.eigvec, cfg.omega, res.lam
-        else:
-            bp = spectral.find_bifurcation_point(ctx, m)
-            h, omega, lam = bp.eigfun, bp.omega_m, bp.lam
-        _write_csv(outdir / f"eigenfun_m{m}.csv", ["phi", "h"], list(zip(ctx.nodes, h)))
+    for m, h, omega, lam in _eigenfunctions(ctx, cfg.modes, cfg.omega, outdir):
         rep = spectral.eigenfunction_boundary_report(ctx, h)
         reports[str(m)] = {
             "omega": omega,
@@ -266,22 +269,16 @@ COMMANDS = {
 
 
 def _parse_args(argv):
+    """The command, ``--config`` and one ``--flag`` per RunConfig field,
+    named after it with - for _: a list field takes comma-separated text,
+    which _build_config splits, and ``float | None`` takes a float."""
     ap = argparse.ArgumentParser(prog="qg3d", description=__doc__)
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file")
-    ap.add_argument("--profile")
-    ap.add_argument("--phi-nodes", type=int, dest="phi_nodes")
-    ap.add_argument("--theta-nodes", type=int, dest="theta_nodes")
-    ap.add_argument("--de-level", type=int, dest="de_level")
-    ap.add_argument("--direct-level", type=int, dest="direct_level")
-    ap.add_argument("--n-modes", type=int, dest="n_modes")
-    ap.add_argument("--modes", help="comma-separated mode list")
-    ap.add_argument("--omega-grid", dest="omega_grid", help="comma-separated Omega values")
-    ap.add_argument("--omega", type=float)
-    ap.add_argument("--s-max", type=float, dest="s_max")
-    ap.add_argument("--steps", type=int)
-    ap.add_argument("--guard", type=float)
-    ap.add_argument("--outdir")
+    for key, hint in get_type_hints(RunConfig).items():
+        is_list = get_origin(hint) is list
+        kind = str if is_list else float if hint == float | None else hint
+        ap.add_argument("--" + key.replace("_", "-"), type=kind, help="comma-separated list" if is_list else None)
     return ap.parse_args(argv)
 
 
@@ -348,6 +345,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (SolverError, AccuracyError) as exc:
         print(f"qg3d: solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print("qg3d: solver error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -157,8 +157,9 @@ def _chordal(p: Profile, phi, vphi, repeats=None):
         rp, cp = np.repeat(rp, repeats), np.repeat(cp, repeats)
     rq = p.r0(vphi)
     dc = cp - np.cos(vphi)
-    R = (rp + rq) ** 2 + dc ** 2
-    return rp, rq, R, ((rp - rq) ** 2 + dc ** 2) / np.maximum(R, 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):    # a radius near 1e200: kappa and the solves refuse it
+        R = (rp + rq) ** 2 + dc ** 2
+        return rp, rq, R, ((rp - rq) ** 2 + dc ** 2) / np.maximum(R, 1e-300)
 
 
 def big_r(p: Profile, phi, vphi):
@@ -251,7 +252,8 @@ class KernelContext:
                 "the kernel needs r0 > 0 inside (0, pi) (H1)"
             )
         self.sinv = np.sin(self.nodes)
-        self.mv = self.sinv * self.r0v ** 2
+        with np.errstate(over="ignore"):    # a radius near 1e200: kappa and the solves refuse it
+            self.mv = self.sinv * self.r0v ** 2
         self.bary = barycentric_weights(self.nodes)
         probe = np.linspace(0.0, np.pi, _MIRROR_PROBE + 2)[1:-1]
         self.mirrored = bool(mirror_defect(self.profile, probe) <= _MIRROR_TOL * np.max(np.abs(self.profile.r0(probe))))
@@ -421,12 +423,14 @@ class KernelContext:
         to that node's column instead.  On a mirrored context the walk
         covers the rows i < N/2 and the others are their mirror images; a
         walk of at least _FORK_ROWS rows may run in two processes (see
-        :meth:`_walk_forked`)."""
+        :meth:`_walk_forked`).  B_1, whose row sums are nu0, joins every
+        walk until it is cached; a mode's rows do not depend on the other
+        modes of its walk, so this changes no B_n by a bit."""
         ns = list(ns)
         for n in ns:
             if n < 1:
                 raise DomainError(f"mode_b_matrices: mode {n} is invalid, every mode must be >= 1")
-        todo = [n for n in dict.fromkeys(ns) if ("B", n) not in self._cache]
+        todo = [n for n in dict.fromkeys([1, *ns]) if ("B", n) not in self._cache]
         if todo:
             N, rows = self.n_nodes, self.n_solved
             Bs = np.zeros((len(todo), N, N))

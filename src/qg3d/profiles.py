@@ -82,7 +82,8 @@ class Profile:
     def r0(self, phi):
         phi = np.asarray(phi, dtype=float)
         if self.g is not None:
-            return np.sin(phi) * np.polynomial.polynomial.polyval(np.cos(phi), self.g)
+            with np.errstate(over="ignore", invalid="ignore"):    # g near 1e308: the checks refuse the profile
+                return np.sin(phi) * np.polynomial.polynomial.polyval(np.cos(phi), self.g)
         idx = np.clip(np.searchsorted(self.knots, phi) - 1, 0, len(self.knots) - 2)
         h = self.knots[idx + 1] - self.knots[idx]
         s = (phi - self.knots[idx]) / h
@@ -213,11 +214,12 @@ def arc_chord_constants(p: Profile, grid_size: int = 192) -> tuple[float, float]
     phi = np.linspace(0.0, np.pi, grid_size)
     r = p.r0(phi)
     c = np.cos(phi)
-    dr = r[:, None] - r[None, :]
     dc = c[:, None] - c[None, :]
     dp = phi[:, None] - phi[None, :]
     mask = ~np.eye(grid_size, dtype=bool)
-    ratio = (dr[mask] ** 2 + dc[mask] ** 2) / dp[mask] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):    # a radius near 1e200: refused below
+        dr = r[:, None] - r[None, :]
+        ratio = (dr[mask] ** 2 + dc[mask] ** 2) / dp[mask] ** 2
     c_lo = float(np.min(ratio))
     c_hi = float(np.max(ratio))
     if not np.isfinite(c_lo) or not np.isfinite(c_hi) or c_lo <= 0.0:

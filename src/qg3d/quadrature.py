@@ -51,6 +51,12 @@ __all__ = [
 # tanh-sinh truncation: keep nodes while exp(-2u) >= ~1e-26 so that even
 # an x^(-1/2) endpoint singularity loses less than ~1e-12 to the cut tail.
 _DE_UMAX = 30.0
+# Largest tanh-sinh level ``double_exponential`` builds.  A level's
+# reference holds about 3.6 * 2^level nodes (0.24 M at 16), so each level
+# doubles its memory; the levels in use are at most 10 (the CLI's
+# de_level 9 refined by one, ``ellipsoid_alphas``), and level 40 would
+# ask for 29 TiB.
+DE_MAX_LEVEL = 16
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,8 @@ def double_exponential(a: float, b: float, level: int) -> QuadratureRule:
     """
     if not a < b:
         raise DomainError(f"double_exponential: requires a < b, got a={a}, b={b}")
-    if level < 1:
-        raise DomainError(f"double_exponential: level must be >= 1, got {level}")
+    if not 1 <= level <= DE_MAX_LEVEL:
+        raise DomainError(f"double_exponential: level must lie in 1..{DE_MAX_LEVEL} (DE_MAX_LEVEL), got {level}")
     dist, w = _de_reference(level)
     half = 0.5 * (b - a)
     # nodes anchored at their nearest endpoint so that clustering scales

@@ -153,7 +153,7 @@ def dispersion_scan(ctx: KernelContext, n_list, omega_grid) -> DispersionCurve:
     monotonicity anomalies (decreasing in n, increasing in Omega) flagged."""
     n_list = list(n_list)
     omega_grid = list(omega_grid)
-    ctx.mode_b_matrices([1, *n_list])
+    ctx.mode_b_matrices(n_list)
     for om in omega_grid:
         if not om < ctx.omega_limit:
             raise DomainError(f"dispersion_scan: omega={om} not below kappa - guard={ctx.omega_limit}")
@@ -214,7 +214,7 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     """
     if m < 2:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
-    B = ctx.mode_b_matrices([1, m])[1]
+    B = ctx.mode_b_matrices([m])[0]
     A = np.diag(ctx.nu0[: ctx.n_solved]) - ctx.fold(B)
     vals, vecs = np.linalg.eig(_finite(A, f"find_bifurcation_point: mode {m}"))
     j = int(np.argmin(vals.real))

@@ -1,5 +1,6 @@
 """CLI contract: commands, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import qg3d
-from qg3d.cli import main
+from qg3d import cli, nonlinear, spectral
+from qg3d.cli import RunConfig, main
 from qg3d.nonlinear import NEWTON_TOL, Collocation
 
 FAST = ["--phi-nodes", "24", "--de-level", "7"]
@@ -91,6 +93,16 @@ class TestValidate:
             "profile", "h1_ok", "h2_ok", "h3_ok", "endpoint_values", "interior_min", "h2_lo", "h2_hi",
             "sym_defect", "arc_chord_lo", "arc_chord_hi", "kappa", "passed",
         }
+
+    def test_profile_too_large_for_the_kernel(self, tmp_path):
+        # a radius of 1e200 overflows the arc-chord ratios and H_n: both
+        # constants and kappa are null, without a RuntimeWarning (an error
+        # in this session), and the report is still written
+        code, out = run(tmp_path, "validate", "--profile", "spheroid:1e200", "--phi-nodes", "16", "--de-level", "4")
+        assert code == 2
+        payload = json.loads((out / "validate.json").read_text())
+        assert payload["arc_chord_lo"] is None and payload["arc_chord_hi"] is None
+        assert payload["kappa"] is None and payload["passed"] is False
 
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)
@@ -348,14 +360,16 @@ class TestDegenerateProfile:
     """A profile the kernel cannot carry ends in a documented exit code,
     with a message and the config echo, never in a traceback: r0 <= 0 at
     a grid node is refused before any solve (2), and a radius so small
-    that H_n overflows is a solver failure (3).  Run as a real process
+    that H_n overflows, or so large, is a solver failure (3).  Run as a real process
     through the module entry point with RuntimeWarnings as errors: the
     overflow must not warn."""
 
     ARGS = {
         "bifpoints": ["--modes", "2"],
         "dispersion": ["--modes", "1,2", "--omega-grid", "0"],
+        "eigenfun": ["--modes", "2"],
         "branch": ["--n-modes", "2", "--theta-nodes", "4", "--s-max", "0.002", "--steps", "1"],
+        "crosscheck": ["--modes", "2"],
     }
 
     @pytest.mark.parametrize("command", sorted(ARGS))
@@ -365,8 +379,9 @@ class TestDegenerateProfile:
             ("series:0", 2, "r0 = 0 is not positive at the grid node"),
             ("series:1,2", 2, "is not positive at the grid node"),
             ("spheroid:1e-300", 3, "solver error"),
+            ("spheroid:1e200", 3, "solver error"),
         ],
-        ids=["series:0", "series:1,2", "spheroid:1e-300"],
+        ids=["series:0", "series:1,2", "spheroid:1e-300", "spheroid:1e200"],
     )
     def test_exit_code_without_traceback(self, tmp_path, command, spec, code, says):
         out = tmp_path / "out"
@@ -389,3 +404,75 @@ class TestCrosscheck:
         assert code == 0
         payload = json.loads((out / "crosscheck.json").read_text())
         assert float(payload["discrepancy"]["2"]) <= 1e-5
+
+
+class TestResourceLimits:
+    def test_tanh_sinh_level_too_large_exit_2(self, tmp_path, capsys):
+        # level 40 would ask for 29 TiB of rule nodes; it is refused before
+        code, out = run(tmp_path, "bifpoints", "--phi-nodes", "16", "--de-level", "40", "--modes", "2")
+        assert code == 2
+        assert "level must lie in 1..16" in capsys.readouterr().err
+        assert json.loads((out / "bifpoints_config.json").read_text())["de_level"] == 40
+
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        def too_big(ctx, m):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(spectral, "find_bifurcation_point", too_big)
+        code, out = run(tmp_path, "bifpoints", "--phi-nodes", "16", "--de-level", "4", "--modes", "2")
+        assert code == 3
+        assert "qg3d: solver error: out of memory: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+        assert (out / "bifpoints_config.json").exists() and not (out / "bifpoints.csv").exists()
+
+
+class TestFlags:
+    """Every RunConfig field is one --flag, the field's name with - for _."""
+
+    # a valid value for every field, unlike its default
+    VALUES = {
+        "profile": "spheroid:2",
+        "phi_nodes": 10,
+        "theta_nodes": 6,
+        "de_level": 5,
+        "direct_level": 4,
+        "n_modes": 3,
+        "guard": 0.005,
+        "modes": [3, 4],
+        "omega_grid": [-0.5, 0.1],
+        "omega": 0.05,
+        "s_max": 0.01,
+        "steps": 3,
+        "axis_z": [-0.25, 0.5],
+        "outdir": "set-by-itself",
+    }
+
+    def test_flag_and_config_file_write_the_same_echo(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.COMMANDS, "dispersion", lambda cfg, ctx, outdir: 0)    # the echo alone
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(names) == sorted(self.VALUES)
+        for name in names:
+            out = tmp_path / (self.VALUES[name] if name == "outdir" else name)
+            val = str(out) if name == "outdir" else self.VALUES[name]
+            assert val != getattr(RunConfig(), name)
+            text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({name: val}))
+            rest = [] if name == "outdir" else ["--outdir", str(out)]
+            echoes = []
+            for setting in ([f"--{name.replace('_', '-')}={text}"], ["--config", str(config)]):
+                assert main(["dispersion", *setting, *rest]) == 0
+                echo = out / "dispersion_config.json"
+                echoes.append(echo.read_bytes())
+                echo.unlink()
+            assert echoes[0] == echoes[1], name
+            assert json.loads(echoes[0])[name] == val
+
+    def test_axis_z_reaches_the_solver(self, tmp_path, monkeypatch):
+        seen, on_axis = [], nonlinear.velocity_on_axis
+        monkeypatch.setattr(nonlinear, "velocity_on_axis", lambda col, f, z: seen.append(z) or on_axis(col, f, z))
+        code, out = run(
+            tmp_path, "branch", "--profile", "sphere", "--phi-nodes", "8", "--n-modes", "2", "--theta-nodes", "4",
+            "--s-max", "0.002", "--steps", "1", "--axis-z=0.1,0.2",
+        )
+        assert code == 0
+        assert seen == [[0.1, 0.2]]

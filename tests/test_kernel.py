@@ -279,6 +279,24 @@ class TestRowBlocks:
         assert all(a is b for a, b in zip(first, again))
         assert fresh.mode_b_matrix(3) is first[2]
 
+    def test_b1_joins_the_first_walk(self, ctx, monkeypatch):
+        # nu0's B_1 comes with any walk until it is cached, and a mode's rows
+        # do not depend on the other modes of its walk
+        monkeypatch.setattr(kernel, "_may_fork", lambda rows: False)
+        fresh, walks = self._fresh(ctx), []
+        walk = fresh._walk_rows
+        fresh._walk_rows = lambda ns, *args: walks.append(list(ns)) or walk(ns, *args)
+        B3 = fresh.mode_b_matrices([3])[0]
+        assert walks == [[1, 3]]
+        assert fresh.kappa > 0 and fresh.mode_b_matrices([3, 1])[0] is B3
+        assert walks == [[1, 3]]
+        fresh.mode_b_matrices([2])
+        assert walks == [[1, 3], [2]]
+        rows = _walked(ctx)
+        alone = np.zeros((1, ctx.n_nodes, ctx.n_nodes))
+        walk([3], 0, rows, alone)
+        assert np.array_equal(B3[:rows], alone[0, :rows])
+
     def test_all_mode_walk_rejects_bad_mode(self, ctx):
         with pytest.raises(DomainError):
             ctx.mode_b_matrices([2, 0])

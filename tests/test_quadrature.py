@@ -6,6 +6,7 @@ import pytest
 import qg3d as q
 from qg3d.errors import DomainError
 from qg3d.quadrature import (
+    DE_MAX_LEVEL,
     _de_reference,
     barycentric_weights,
     double_exponential,
@@ -68,6 +69,18 @@ class TestDoubleExponential:
         for lvl in (4, 8):
             rule = double_exponential(0.0, 2.5, lvl)
             assert np.sum(rule.weights) == pytest.approx(2.5, abs=1e-12)
+
+    def test_top_level_builds(self):
+        rule = double_exponential(0.0, 1.0, DE_MAX_LEVEL)
+        assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0, DE_MAX_LEVEL + 1, 40])
+    def test_level_out_of_range(self, level):
+        # refused before the reference is built: level 40 would ask for 29 TiB
+        misses = _de_reference.cache_info().misses
+        with pytest.raises(DomainError, match=f"got {level}"):
+            double_exponential(0.0, 1.0, level)
+        assert _de_reference.cache_info().misses == misses
 
 
 class TestRuleCache:
