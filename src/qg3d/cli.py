@@ -95,8 +95,21 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _json_safe(obj):
+    """obj with every non-finite float, NaN or +-inf, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
+    """Strict JSON: a non-finite float is written as null."""
+    text = json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", newline="\n")
 
 
 def _load_profile(spec: str):

@@ -500,22 +500,16 @@ class KernelMatrix:
     """Product-integration discretization of K_n^Omega on the context grid.
 
     ``entries`` = diag(1/nu) B_n maps node samples of h to node samples
-    of K_n h.  ``sym_entries`` symmetrizes S = D^{1/2} M D^{-1/2},
-    D = diag(mu_w), by averaging each pair (S_ij, S_ji) with the weights
-    (mu_w_j, mu_w_i) of their Lagrange columns:
-
-        sym_entries_ij = sqrt(mu_w_i mu_w_j) (M_ij + M_ji) / (mu_w_i + mu_w_j),
-
-    bitwise symmetric by construction and equal to S wherever S is
-    already symmetric.  ``ctx`` is the context it was assembled on, whose
+    of K_n h; its own eigenpairs are the spectrum that the solves take.
+    ``mu_w`` = w m nu is the discrete measure the eigenfunctions are
+    normalized in.  ``ctx`` is the context it was assembled on, whose
     ``fold`` and ``unfold`` reduce a solve by the equatorial mirror: on a
-    mirrored context the matrices are centrosymmetric to round-off.
+    mirrored context the matrix is centrosymmetric to round-off.
     """
 
     n: int
     omega: float
     entries: np.ndarray
-    sym_entries: np.ndarray
     nu: np.ndarray
     mu_w: np.ndarray
     ctx: KernelContext = field(repr=False)
@@ -544,10 +538,7 @@ def assemble_kernel_matrix(
         nu_vals = ctx.nu0 - omega
     M = B / nu_vals[:, None]
     mu_w = ctx.mv * ctx.weights * nu_vals
-    S = np.sqrt(np.outer(mu_w, mu_w)) * (M + M.T) / np.add.outer(mu_w, mu_w)
-    return KernelMatrix(
-        n=n, omega=float(omega), entries=M, sym_entries=S, nu=nu_vals, mu_w=mu_w, ctx=ctx
-    )
+    return KernelMatrix(n=n, omega=float(omega), entries=M, nu=nu_vals, mu_w=mu_w, ctx=ctx)
 
 
 def row_apply(ctx: KernelContext, n: int, h: np.ndarray) -> np.ndarray:

@@ -199,7 +199,8 @@ def validate_profile(p: Profile, grid_size: int = 256) -> ValidationReport:
     h2_hi = float(np.max(ratio))
     sym_defect = mirror_defect(p, phi[phi < np.pi / 2])
     scale = max(h2_hi, 1e-300)
-    h1_ok = abs(end0) <= 1e-9 and abs(end_pi) <= 1e-9 and interior_min > 0.0
+    end_tol = 1e-9 * float(np.max(r))    # relative, so sin(pi) round-off passes at any radius
+    h1_ok = abs(end0) <= end_tol and abs(end_pi) <= end_tol and interior_min > 0.0
     h2_ok = h2_lo > 0.0 and h2_hi / max(h2_lo, 1e-300) < 1e6
     h3_ok = sym_defect <= 1e-9 * scale
     return ValidationReport((end0, end_pi), interior_min, h2_lo, h2_hi, sym_defect, h1_ok, h2_ok, h3_ok)

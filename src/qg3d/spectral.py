@@ -1,21 +1,21 @@
 """Dispersion relation, bifurcation points and spectral verifications.
 
 The dispersion relation is the map Omega -> lambda_n(Omega), the largest
-eigenvalue of K_n^Omega = diag(1/nu) B_n, taken from one dense symmetric
-eigensolve of its measure-weighted symmetrization
-(``KernelMatrix.sym_entries``).  It is strictly positive, simple
+eigenvalue of K_n^Omega = diag(1/nu) B_n.  It is strictly positive, simple
 (positive kernel), strictly decreasing in n and strictly increasing in
 Omega, so the mode-m bifurcation point Omega_m is the unique root of
 lambda_m(Omega) = 1.  On B_m that root is an eigenvalue: B h =
 (nu0 - Omega) h says lambda = 1 with eigenfunction h, so Omega_m is the
-leftmost eigenvalue of diag(nu0) - B_m, taken from one dense eigensolve
-together with its eigenfunction.
+leftmost eigenvalue of diag(nu0) - B_m.  Both come from one solve of the
+collocation matrix itself (``_eigenpair``), which product integration
+makes accurate as it stands (Atkinson, *The Numerical Solution of
+Integral Equations of the Second Kind*, CUP 1997).
 
-On an equatorially mirrored context (``KernelContext.mirrored``) B_n,
-and to round-off both solves' matrices, are centrosymmetric and map even
-samples [x, x[::-1]] to even ones; both solves want the positive, hence
-even, eigenvector, so both run on the even block of size N/2, which
-``KernelContext.fold`` gives and ``KernelContext.unfold`` maps back.
+On an equatorially mirrored context (``KernelContext.mirrored``) B_n is
+centrosymmetric to round-off and maps even samples [x, x[::-1]] to even
+ones; both solves want the positive, hence even, eigenvector, so both
+run on the even block of size N/2, which ``KernelContext.fold`` gives and
+``KernelContext.unfold`` maps back.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class SpectralResult:
     """Dominant eigenpair of one K_n^Omega matrix.  ``eigvec`` holds the
     eigenfunction samples h(phi_i), sign-fixed positive and unit-normed
     in the discrete mu_Omega inner product.  ``residual`` is
-    |S v - lam v| for the symmetrized matrix S and its unit eigenvector
-    v.  ``iterations`` is always 0: the pair comes from one dense solve,
+    |K h - lam h| for K = ``KernelMatrix.entries`` and h = ``eigvec``.
+    ``iterations`` is always 0: the pair comes from one dense solve,
     and the field stays because the ``iterations`` column of
     ``dispersion.csv`` and ``perfbench/spans.py`` read it."""
 
@@ -91,29 +91,42 @@ class BoundaryReport:
     interior_max: float
 
 
-def _finite(A: np.ndarray, what: str) -> np.ndarray:
-    """A itself, or a SolverError if it has a non-finite entry (a profile
-    whose radius is near 0 overflows H_n), before LAPACK would refuse it."""
+def _eigenpair(A: np.ndarray, what: str, top: bool) -> tuple[float, np.ndarray]:
+    """The largest (``top``) or the smallest real eigenvalue of A, from
+    ``np.linalg.eigvals``, and its right eigenvector (max-norm 1, any sign)
+    from two inverse-iteration solves with A - sigma I from ones, sigma =
+    lam +/- 1e-13 max|A| just outside the spectrum.  A non-finite A (a
+    profile whose radius is near 0 overflows H_n), an eigensolve that does
+    not converge or a singular shifted solve is a SolverError naming ``what``.
+    """
     if not np.all(np.isfinite(A)):
         raise SolverError(f"{what}: the matrix to solve is not finite (H_n overflows on this profile)")
-    return A
+    try:
+        vals = np.linalg.eigvals(A).real
+        lam = float(np.max(vals) if top else np.min(vals))
+        shifted = A - (lam + (1e-13 if top else -1e-13) * np.max(np.abs(A))) * np.eye(len(A))
+        x = np.ones(len(A))
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x /= np.max(np.abs(x))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what}: {exc}") from None
+    return lam, x
 
 
 def largest_eigenvalue(K: KernelMatrix) -> SpectralResult:
-    """Top eigenpair of the symmetrized matrix by one ``np.linalg.eigh``.
+    """Top eigenpair of K.entries = diag(1/nu) B_n.
 
     The operator's kernel is positive, so its largest eigenvalue is
     simple with a positive eigenvector, which is even on a mirrored
-    context: the solve runs on ``ctx.fold``(S), and the unit vector is
-    ``ctx.unfold``(x) / sqrt(N / n_solved).  It is mapped back through
-    D^{-1/2} and mu-normalized positive.
+    context: the solve runs on ``ctx.fold``(K.entries), and the vector is
+    ``ctx.unfold``(x), mu-normalized positive.
     """
-    ctx, S = K.ctx, K.sym_entries
-    vals, vecs = np.linalg.eigh(_finite(ctx.fold(S), f"largest_eigenvalue: mode {K.n}"))
-    v = ctx.unfold(vecs[:, -1]) / np.sqrt(ctx.n_nodes / ctx.n_solved)
-    lam = float(vals[-1])
-    resid = float(np.linalg.norm(S @ v - lam * v))
-    return SpectralResult(K.n, K.omega, lam, _mu_normalized(v / np.sqrt(K.mu_w), K.mu_w), 0, resid)
+    ctx = K.ctx
+    lam, x = _eigenpair(ctx.fold(K.entries), f"largest_eigenvalue: mode {K.n}", top=True)
+    h = _mu_normalized(ctx.unfold(x), K.mu_w)
+    resid = float(np.linalg.norm(K.entries @ h - lam * h))
+    return SpectralResult(K.n, K.omega, lam, h, 0, resid)
 
 
 def eigen_bounds(ctx: KernelContext, K: KernelMatrix, rho: np.ndarray) -> tuple[float, float]:
@@ -181,24 +194,18 @@ def _mu_normalized(v: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
 
 
 def refine_eigenvalue(K: KernelMatrix, res: SpectralResult) -> tuple[float, np.ndarray]:
-    """Re-solve a dominant eigenpair on the unsymmetrized matrix.
-
-    The eigenpair of ``K.entries`` = diag(1/nu) B_n nearest to
-    ``res.lam``, by one dense eigensolve: its right eigenvector keeps
-    the accuracy of B_n's columns at the poles, which the symmetrized
-    matrix's eigenvector does not.  Returns (eigenvalue, mu-normalized
-    positive eigenvector).
-    """
-    vals, vecs = np.linalg.eig(K.entries)
-    j = int(np.argmin(np.abs(vals - res.lam)))
-    return float(vals[j].real), _mu_normalized(vecs[:, j].real, K.mu_w)
+    """(eigenvalue, eigenvector) of ``largest_eigenvalue``(K), whose one
+    solve is already at round-off; ``res`` is not read.  The name stays
+    for its callers."""
+    top = largest_eigenvalue(K)
+    return top.lam, top.eigvec
 
 
 def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
     """Omega_m as the leftmost eigenvalue of diag(nu0) - B_m.
 
     B_m h = (nu0 - Omega) h is lambda_m(Omega) = 1 on the
-    product-integration operator, so one dense eigensolve gives Omega_m
+    product-integration operator, so one ``_eigenpair`` solve gives Omega_m
     and its kernel eigenfunction (mu-normalized, positive); ``lam`` is
     the Rayleigh quotient of diag(1/nu) B_m there.  An Omega_m at or
     beyond kappa - guard means the guard hides the root.
@@ -216,9 +223,7 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
         raise DomainError(f"find_bifurcation_point: m must be >= 2, got {m}")
     B = ctx.mode_b_matrices([m])[0]
     A = np.diag(ctx.nu0[: ctx.n_solved]) - ctx.fold(B)
-    vals, vecs = np.linalg.eig(_finite(A, f"find_bifurcation_point: mode {m}"))
-    j = int(np.argmin(vals.real))
-    omega_m = float(vals[j].real)
+    omega_m, x = _eigenpair(A, f"find_bifurcation_point: mode {m}", top=False)
     if not omega_m < ctx.omega_limit:
         raise SolverError(
             f"find_bifurcation_point: Omega_{m} = {omega_m} not below kappa - guard = {ctx.omega_limit}; "
@@ -226,7 +231,7 @@ def find_bifurcation_point(ctx: KernelContext, m: int) -> BifurcationPoint:
         )
     nu = ctx.nu0 - omega_m
     mu_w = ctx.mv * ctx.weights * nu
-    h = _mu_normalized(ctx.unfold(vecs[:, j].real), mu_w)
+    h = _mu_normalized(ctx.unfold(x), mu_w)
     lam = float(np.sum(h * mu_w * (B @ h) / nu))
     return BifurcationPoint(m, omega_m, h, lam)
 

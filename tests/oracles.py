@@ -1,9 +1,8 @@
 """Independent numerical oracles used by the test suite only.
 
 These deliberately avoid the code paths they check: adaptive quadrature
-comes from scipy, the hypergeometric reference from scipy.special, the
-full symmetric eigensolver is a plain cyclic Jacobi iteration, and the
-rotating-ellipsoid branch uses scipy's quadrature and root finder.  The
+comes from scipy, the hypergeometric reference from scipy.special, and
+the rotating-ellipsoid branch uses scipy's quadrature and root finder.  The
 analytic (series) profiles are non-ellipsoid test beds whose errors are
 the solver's own, with no interpolant in between.
 """
@@ -58,48 +57,6 @@ def ring_integral_quadrature(n: int, beta: float, A: float) -> float:
         limit=200,
     )
     return val
-
-
-def jacobi_eigensolve(S: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi rotations for a dense symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with columns as eigenvectors,
-    sorted descending by eigenvalue.
-    """
-    A = np.array(S, dtype=float, copy=True)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = np.max(np.abs(A))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q_ in range(p + 1, n):
-                apq = A[p, q_]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (A[q_, q_] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = A[:, p].copy()
-                rot_q = A[:, q_].copy()
-                A[:, p] = c * rot_p - s * rot_q
-                A[:, q_] = s * rot_p + c * rot_q
-                rot_p = A[p, :].copy()
-                rot_q = A[q_, :].copy()
-                A[p, :] = c * rot_p - s * rot_q
-                A[q_, :] = s * rot_p + c * rot_q
-                rot_p = V[:, p].copy()
-                rot_q = V[:, q_].copy()
-                V[:, p] = c * rot_p - s * rot_q
-                V[:, q_] = s * rot_p + c * rot_q
-    vals = np.diag(A).copy()
-    order = np.argsort(vals)[::-1]
-    return vals[order], V[:, order]
 
 
 def rotating_ellipsoid(s: float, phi: np.ndarray, hstar: np.ndarray, weights: np.ndarray, a0: float, n_coeffs: int):

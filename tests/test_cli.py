@@ -104,6 +104,24 @@ class TestValidate:
         assert payload["arc_chord_lo"] is None and payload["arc_chord_hi"] is None
         assert payload["kappa"] is None and payload["passed"] is False
 
+    def test_non_finite_report_is_strict_json(self, tmp_path):
+        # r0 overflows to inf and nan on this profile: those values are
+        # written as null, and the file parses without NaN or Infinity
+        def refuse(name):
+            raise AssertionError(f"validate.json holds {name}")
+
+        code, out = run(tmp_path, "validate", "--profile", "series:1e308,1e308", "--phi-nodes", "16", "--de-level", "4")
+        assert code == 2
+        payload = json.loads((out / "validate.json").read_text(), parse_constant=refuse)
+        assert payload["endpoint_values"][0] is None and payload["passed"] is False
+
+    def test_large_radius_passes_h1(self, tmp_path):
+        # the endpoint test is relative to max r0: sin(pi) 1e10 = 1.2e-6 is round-off
+        code, out = run(tmp_path, "validate", "--profile", "spheroid:1e10", "--phi-nodes", "16", "--de-level", "4")
+        assert code == 0
+        payload = json.loads((out / "validate.json").read_text())
+        assert payload["h1_ok"] and payload["passed"] and payload["kappa"] > 0.0
+
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)
         r0 = np.sin(phi) * (1.0 + 0.3 * np.cos(phi))  # breaks H3
@@ -422,6 +440,20 @@ class TestResourceLimits:
         code, out = run(tmp_path, "bifpoints", "--phi-nodes", "16", "--de-level", "4", "--modes", "2")
         assert code == 3
         assert "qg3d: solver error: out of memory: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+        assert (out / "bifpoints_config.json").exists() and not (out / "bifpoints.csv").exists()
+
+
+class TestLinAlgError:
+    def test_eigensolve_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a LAPACK failure in the eigensolve is a solver error naming the
+        # mode, with the config echo written, not a traceback
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, out = run(tmp_path, "bifpoints", "--phi-nodes", "16", "--de-level", "4", "--modes", "2")
+        assert code == 3
+        assert "qg3d: solver error: find_bifurcation_point: mode 2: Eigenvalues did not converge" in capsys.readouterr().err
         assert (out / "bifpoints_config.json").exists() and not (out / "bifpoints.csv").exists()
 
 

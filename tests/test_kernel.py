@@ -123,24 +123,10 @@ class TestNuAndKappa:
 
 
 class TestAssembly:
-    def test_symmetry_defect(self, sphere):
-        ctx = q.KernelContext(sphere, 64, 9, 3)
-        K = q.assemble_kernel_matrix(ctx, 2, 0.0)
-        assert np.max(np.abs(K.sym_entries - K.sym_entries.T)) <= 1e-10
-
-    def test_symmetry_defect_generic(self, bumped_ctx):
-        K = q.assemble_kernel_matrix(bumped_ctx, 3, 0.0)
-        assert np.max(np.abs(K.sym_entries - K.sym_entries.T)) <= 1e-10
-
     def test_offdiagonal_positive(self, ctx_sphere):
         x = ctx_sphere.nodes
         H = _hn_values(ctx_sphere.profile, 2, x[:, None], x[None, :])
         assert np.min(H[~np.eye(len(x), dtype=bool)]) > 0
-
-    @pytest.mark.parametrize("omega", [0.0, 0.2])
-    def test_symmetrized_bitwise(self, bumped_ctx, omega):
-        K = q.assemble_kernel_matrix(bumped_ctx, 3, omega)
-        assert np.array_equal(K.sym_entries, K.sym_entries.T)
 
     def test_row_integral_refinement(self, sphere):
         ctx = q.KernelContext(sphere, 48, 8, 3)
