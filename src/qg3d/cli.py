@@ -137,7 +137,9 @@ def _echo_config(cfg: RunConfig, outdir: Path, command: str) -> None:
 
 
 def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
-    """Reports the profile's hypotheses also where the solvers refuse it:
+    """``validate.json``: the fields of the profile's ValidationReport,
+    with ``profile``, the arc-chord constants, ``kappa`` and ``passed``.
+    It reports the profile's hypotheses also where the solvers refuse it:
     ``kappa`` is null when no context or no kappa can be computed, the
     arc-chord constants are null when they are not finite, and the profile
     then fails."""
@@ -150,21 +152,8 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
         kappa = _context(cfg, profile).kappa
     except (GeometryError, AccuracyError):
         kappa = None
-    payload = {
-        "profile": cfg.profile,
-        "h1_ok": report.h1_ok,
-        "h2_ok": report.h2_ok,
-        "h3_ok": report.h3_ok,
-        "endpoint_values": list(report.endpoint_values),
-        "interior_min": report.interior_min,
-        "h2_lo": report.h2_lo,
-        "h2_hi": report.h2_hi,
-        "sym_defect": report.sym_defect,
-        "arc_chord_lo": c_lo,
-        "arc_chord_hi": c_hi,
-        "kappa": kappa,
-        "passed": report.passed and kappa is not None and c_lo is not None,
-    }
+    payload = {"profile": cfg.profile, **asdict(report), "arc_chord_lo": c_lo, "arc_chord_hi": c_hi, "kappa": kappa}
+    payload["passed"] = report.passed and kappa is not None and c_lo is not None
     _write_json(outdir / "validate.json", payload)
     return EXIT_OK if payload["passed"] else EXIT_VALIDATION
 
@@ -172,11 +161,7 @@ def cmd_validate(cfg: RunConfig, profile, outdir: Path) -> int:
 def cmd_dispersion(cfg: RunConfig, ctx: KernelContext, outdir: Path) -> int:
     curve = spectral.dispersion_scan(ctx, cfg.modes, cfg.omega_grid)
     _write_csv(outdir / "dispersion.csv", ["n", "omega", "lambda", "iterations", "residual"], curve.rows)
-    _write_csv(
-        outdir / "dispersion_anomalies.csv",
-        ["kind", "first", "second", "at"],
-        [(a[0], a[1], a[2], a[3]) for a in curve.anomalies],
-    )
+    _write_csv(outdir / "dispersion_anomalies.csv", ["kind", "first", "second", "at"], curve.anomalies)
     return EXIT_OK
 
 

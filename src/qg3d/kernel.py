@@ -39,9 +39,11 @@ a self-adjoint compact operator on L^2(d mu).  Numerical notes:
 * The product-integration matrix B_n (split tanh-sinh rows against the
   barycentric Lagrange basis) is the one discretization of every mode:
   K_n^Omega is diag(1/nu) B_n, nu0 is the row sums of B_1 (the basis
-  sums to one), and the B_n of several modes are built in one walk over
-  the rows (``KernelContext.mode_b_matrices``): each row's split rule,
-  its n-independent geometry and its barycentric terms
+  sums to one) and the only row-sum table a context caches, and the B_n
+  are cached read-only, as every later solve shares them.  The B_n of
+  several modes are built in one walk over the rows
+  (``KernelContext.mode_b_matrices``): each row's split rule, its
+  n-independent geometry and its barycentric terms
   bary_j / (t_p - phi_j) are formed once and serve every mode.  A row
   node's weight is divided by the sum of its own terms, the sum that
   ``interp_matrix`` normalizes by, and one vector-matrix product per
@@ -134,11 +136,14 @@ _MIRROR_PROBE = 256
 _MIRROR_TOL = 1e-14
 # Walked rows from which ``KernelContext.mode_b_matrices`` shares its row
 # blocks with a forked child (``_walk_forked``).  The walk of B_1..B_6 on
-# the sphere, de_level 7, medians of 15 on a shared 2-CPU VM, serial
-# against a child that walks the second half of the blocks: 8 rows
-# (N = 16) 8.6-9.4 against 10.6-11.9 ms, 12 rows 13-17 against 15-20 ms,
-# 16 rows 19.5-28.8 against 15.8-22.5 ms, 48 rows (N = 96) 65-69 against
-# 44-57 ms.
+# the sphere, de_level 7, serial against the two processes' block queue:
+# the range of the medians of 5 batches of 15 alternating runs on a shared
+# 2-CPU VM, and of the serial/queued ratio per batch: 8 rows (N = 16)
+# 9.4-16.2 against 13.4-16.0 ms (0.69-1.17), 12 rows 14.7-25.3 against
+# 15.5-24.7 ms (0.95-1.34), 16 rows 18.4-34.1 against 15.6-25.4 ms
+# (0.91-1.42, the queue ahead in 4 batches), 24 rows 29.6-51.4 against
+# 25.8-36.6 ms (0.95-1.44), 48 rows (N = 96) 77-117 against 56-77 ms
+# (1.29-2.00).
 _FORK_ROWS = 16
 
 
@@ -167,18 +172,10 @@ def big_r(p: Profile, phi, vphi):
     return _chordal(p, phi, vphi)[2]
 
 
-def _hn_values(p: Profile, n: int, phi, vphi, clamp: bool = True):
-    """H_n on broadcastable argument arrays.
-
-    ``clamp`` skips the coincidence checks so that quadrature nodes
-    hugging the target stay usable; the public :func:`h_n` disables it
-    and raises instead.
-    """
+def _hn_values(p: Profile, n: int, phi, vphi):
+    """H_n on broadcastable argument arrays, unchecked: quadrature nodes
+    hugging the target stay usable (:func:`h_n` checks its arguments)."""
     rp, rq, R, one_minus = _chordal(p, phi, vphi)
-    if not clamp and np.any(R == 0.0):
-        raise DomainError("h_n: coincident pole arguments degenerate (R = 0)")
-    if not clamp and np.any(one_minus <= 0.0):
-        raise DomainError("h_n: coincident interior arguments (x = 1) are singular")
     return _hn_chordal(n, np.sin(vphi), rp, rq, R, f_n_many(n, 1.0 - one_minus, one_minus))
 
 
@@ -204,10 +201,17 @@ def _may_fork(rows: int) -> bool:
 
 
 def h_n(p: Profile, n: int, phi, vphi):
-    """Mode-n kernel H_n(phi, vphi); raises on coincident interior points."""
+    """Mode-n kernel H_n(phi, vphi) on broadcastable arguments; a
+    DomainError on n < 1 and on coincident arguments: R = 0 (one pole
+    twice) or x = 1 (one interior point twice)."""
     if n < 1:
         raise DomainError(f"h_n: n must be >= 1, got {n}")
-    return _hn_values(p, n, phi, vphi, clamp=False)
+    _, _, R, one_minus = _chordal(p, phi, vphi)
+    if np.any(R == 0.0):
+        raise DomainError("h_n: coincident pole arguments degenerate (R = 0)")
+    if np.any(one_minus <= 0.0):
+        raise DomainError("h_n: coincident interior arguments (x = 1) are singular")
+    return _hn_values(p, n, phi, vphi)
 
 
 @dataclass(eq=False)
@@ -402,7 +406,8 @@ class KernelContext:
     def mode_tables(self, n: int):
         """Cached (B_n, row integrals int_0^pi H_n(phi_i, .)) for mode n;
         the row integrals are the row sums of B_n, because the Lagrange
-        basis sums to one, and are read-only."""
+        basis sums to one, and are read-only.  Only :attr:`nu0` (n = 1)
+        caches them; the solves read :meth:`mode_b_matrix`."""
         key = ("mode", n)
         if key not in self._cache:
             B = self.mode_b_matrix(n)
@@ -412,8 +417,8 @@ class KernelContext:
         return self._cache[key]
 
     def mode_b_matrices(self, ns) -> list[np.ndarray]:
-        """Cached product-integration matrices B_n, one per entry of ``ns``,
-        with (B_n h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node
+        """Cached read-only product-integration matrices B_n, one per entry
+        of ``ns``, with (B_n h)_i ~= int H_n(phi_i, vphi) h(vphi) dvphi for node
         samples h (split tanh-sinh rows against the barycentric Lagrange
         basis).  The missing ones are built in one walk over the rows: each
         row's rule and barycentric terms serve every mode, the latter built
@@ -439,6 +444,7 @@ class KernelContext:
             else:
                 self._walk_rows(todo, 0, rows, Bs)
             Bs[:, rows:] = Bs[:, :N - rows][:, ::-1, ::-1]    # the mirror images; none unmirrored
+            Bs.flags.writeable = False    # every solve shares the cached views
             self._cache.update({("B", n): B for n, B in zip(todo, Bs)})
         return [self._cache[("B", n)] for n in ns]
 
@@ -526,7 +532,7 @@ def assemble_kernel_matrix(
     """
     if n < 1:
         raise DomainError(f"assemble_kernel_matrix: n must be >= 1, got {n}")
-    B, _ = ctx.mode_tables(n)
+    B = ctx.mode_b_matrix(n)
     if strip_nu:
         nu_vals = np.ones(ctx.n_nodes)
     else:

@@ -14,6 +14,7 @@ import qg3d
 from qg3d import cli, nonlinear, spectral
 from qg3d.cli import RunConfig, main
 from qg3d.nonlinear import NEWTON_TOL, Collocation
+from qg3d.profiles import ValidationReport
 
 FAST = ["--phi-nodes", "24", "--de-level", "7"]
 
@@ -121,6 +122,21 @@ class TestValidate:
         assert code == 0
         payload = json.loads((out / "validate.json").read_text())
         assert payload["h1_ok"] and payload["passed"] and payload["kappa"] > 0.0
+
+    def test_keys_are_the_report_fields(self, tmp_path, monkeypatch):
+        # validate.json is the report's fields plus five CLI keys, so a
+        # field added to the report reaches it with no CLI edit
+        @dataclasses.dataclass(frozen=True)
+        class Extended(ValidationReport):
+            extra: float = 0.25
+
+        real = cli.validate_profile
+        monkeypatch.setattr(cli, "validate_profile", lambda *a: Extended(**dataclasses.asdict(real(*a))))
+        code, out = run(tmp_path, "validate", "--profile", "sphere", "--phi-nodes", "16", "--de-level", "4")
+        assert code == 0
+        payload = json.loads((out / "validate.json").read_text())
+        cli_keys = {"profile", "arc_chord_lo", "arc_chord_hi", "kappa", "passed"}
+        assert payload["extra"] == 0.25 and set(payload) == {f.name for f in dataclasses.fields(Extended)} | cli_keys
 
     def test_failing_profile_exit_2(self, tmp_path):
         phi = np.linspace(0.0, np.pi, 101)

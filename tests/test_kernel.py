@@ -63,8 +63,17 @@ class TestHn:
         assert h1 > h2 > 0
 
     def test_coincident_raises(self, sphere):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"x = 1"):
             q.h_n(sphere, 1, 1.0, 1.0)
+        with pytest.raises(DomainError, match=r"x = 1"):
+            q.h_n(sphere, 2, np.array([0.5, 1.0]), 1.0)
+
+    def test_coincident_poles_raise(self, sphere):
+        # r0(0) = 0, so R = 0 at (0, 0) (at pi, sin(pi) leaves R = 6e-32 and x = 1)
+        with pytest.raises(DomainError, match=r"R = 0"):
+            q.h_n(sphere, 1, 0.0, 0.0)
+        with pytest.raises(DomainError, match=r"R = 0"):
+            q.h_n(sphere, 3, np.array([1.0, 0.0]), 0.0)
 
     def test_cn_exact(self):
         # c_n = 2^{2n-1} ((1/2)_n)^2 / (2n)! in exact rationals, rounded once
@@ -190,7 +199,7 @@ def _walked(ctx):
 
 class TestRowBlocks:
     """The blocked row loops equal the per-row loop they replaced: one
-    row_rule and one H_n evaluation per target (clamped like the kernel,
+    row_rule and one H_n evaluation per target (unchecked like the kernel,
     since the rules reach nodes where 1 - x rounds to 0)."""
 
     @pytest.fixture(params=["ctx_sphere_small", "bumped_ctx", "asym_ctx"])
@@ -242,6 +251,16 @@ class TestRowBlocks:
             assert np.count_nonzero(near == j) == 3
             ref = (w * _hn_values(ctx.profile, 2, pt, t)) @ interp_matrix(ctx.nodes, ctx.bary, t)
             assert np.max(np.abs(B[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_cached_b_is_read_only(self, ctx, monkeypatch):
+        # every solve shares the cached B_n: a serial walk caches it read-only
+        monkeypatch.setattr(kernel, "_may_fork", lambda rows: False)
+        fresh = self._fresh(ctx)
+        for B in [fresh.mode_b_matrix(2), *fresh.mode_b_matrices([1, 3])]:
+            with pytest.raises(ValueError, match="read-only"):
+                B[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            fresh.mode_b_matrix(2).flags.writeable = True
 
     def test_b_matrix_mirror(self, ctx):
         for n in (1, 2, 3):
@@ -676,6 +695,15 @@ class TestForkedWalk:
                 worker.join(10)
         assert not worker.is_alive()
         assert np.all(np.isfinite(B))
+
+    def test_forked_walk_caches_read_only(self, forks):
+        ctx = q.KernelContext(q.make_profile("sphere"), 96, 7, 3)
+        Bs = ctx.mode_b_matrices(self.MODES)
+        assert forks == [os.getpid()]
+        self._no_child_left()
+        for B in [*Bs, ctx.mode_b_matrix(2)]:
+            with pytest.raises(ValueError, match="read-only"):
+                B[-1, -1] = 0.0
 
     def test_no_warning(self, forks):
         # recorded rather than raised: Python 3.12 discards os.fork's

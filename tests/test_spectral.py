@@ -162,6 +162,13 @@ class TestDispersionScan:
         curve = q.dispersion_scan(ctx_sphere_small, [2, 3], [0.0, -0.5, 0.2])
         assert curve.anomalies == [(kind, n, a, b) for n in (2, 3) for kind, a, b in (("omega", -0.5, 0.0), ("omega", 0.0, 0.2))]
 
+    def test_row_sums_of_b1_only(self, sphere, monkeypatch):
+        # nu0 is the one row-sum table: the solves read B_n from its cache
+        calls, real = [], q.KernelContext.mode_tables
+        monkeypatch.setattr(q.KernelContext, "mode_tables", lambda self, n: calls.append(n) or real(self, n))
+        curve = q.dispersion_scan(q.KernelContext(sphere, 16, 4, 3), [1, 2, 3], [-0.5, 0.0])
+        assert len(curve.rows) == 6 and set(calls) == {1}
+
     def test_single_point(self, ctx_sphere):
         curve = q.dispersion_scan(ctx_sphere, [2], [0.0])
         assert len(curve.rows) == 1
@@ -219,8 +226,12 @@ class TestBifurcationPoints:
 
     def test_non_finite_matrix_is_solver_error(self, sphere):
         # a B_m that overflowed reaches no eigensolve, and the error names the mode
+        # (the cached B_n are read-only, so a writable copy with a NaN
+        # takes B_3's place in the cache)
         ctx = q.KernelContext(sphere, 16, 4, 3)
-        ctx.mode_b_matrix(3)[0, 0] = np.nan
+        B = ctx.mode_b_matrix(3).copy()
+        B[0, 0] = np.nan
+        ctx._cache[("B", 3)] = B
         with pytest.raises(SolverError, match="mode 3: .* not finite"):
             q.find_bifurcation_point(ctx, 3)
         with pytest.raises(SolverError, match="mode 3: .* not finite"):
